@@ -6,6 +6,7 @@
 #include <cstdlib>
 #include <exception>
 #include <future>
+#include <optional>
 
 #include "kernels/reference.hpp"
 #include "obs/attrib/kernel_ledger.hpp"
@@ -300,6 +301,121 @@ frameworks::RunReport GnnService::infer_batch() {
   return r;
 }
 
+template <class Pull, class Done, class Unwind>
+void GnnService::run_ring(std::size_t depth,
+                          [[maybe_unused]] const char* batch_span,
+                          const char* unwind_reason, Pull&& pull, Done&& done,
+                          Unwind&& unwind) {
+  // Bounded in-flight ring, capacity = depth: batch i prepares in context
+  // (i % depth) on the pool while earlier batches execute on this thread,
+  // strictly in batch order. prepare_batch never touches model parameters,
+  // so the depth cannot change any report. Depth 1 is the serial case:
+  // each batch is pulled when it is next to run and prepares inline on
+  // this thread, with no pool and no future.
+  const bool pooled = depth > 1;
+  ensure_contexts(depth);
+  if (pooled && (!pool_ || pool_->size() < depth))
+    pool_ = std::make_unique<ThreadPool>(depth);
+  obs::metrics().gauge("service.workers").set(static_cast<double>(depth));
+
+  std::vector<frameworks::BatchSpec> specs(depth);
+  std::vector<std::future<void>> inflight(depth);
+  std::vector<double> prepare_us(depth, 0.0);
+
+  // Exception safety: pool tasks write through pointers into `prepare_us`
+  // and the worker contexts, so every launched task must finish before ANY
+  // unwind of this frame — not just the exceptions the catch handlers
+  // below see directly. A retry issued from inside a catch handler can
+  // itself throw (e.g. a kind=abort entry armed for a later attempt of the
+  // same batch). Declared after the vectors so the guard runs first.
+  auto unwind_cleanup = [&]() noexcept {
+    // wait() (unlike get()) does not rethrow, so the drain itself cannot
+    // throw; a stored exception is discarded with its future.
+    for (std::future<void>& f : inflight)
+      if (f.valid()) f.wait();
+    // A throwing attempt leaves its context mid-batch; reset all of them
+    // so a caller that catches the propagated exception can keep serving.
+    for (std::size_t w = 0; w < depth; ++w) contexts_[w]->begin_batch();
+    unwind();
+    // Flush what telemetry has before the stack above decides whether the
+    // process survives — if it does, the next run keeps appending; if not,
+    // the post-mortem files are on disk.
+    if (telemetry_) telemetry_->crash_flush(unwind_reason);
+  };
+  struct UnwindGuard {
+    decltype(unwind_cleanup)& cleanup;
+    int base = std::uncaught_exceptions();
+    ~UnwindGuard() {
+      if (std::uncaught_exceptions() > base) cleanup();
+    }
+  } guard{unwind_cleanup};
+
+  auto prepare = [this, plan = fault_plan_.get()](
+                     pipeline::BatchContext& ctx,
+                     const frameworks::BatchSpec& spec, double& us) {
+    GT_OBS_SCOPE_N(span, "service.prepare_batch", "service");
+    span.arg("batch", static_cast<std::int64_t>(spec.batch_index));
+    obs::live::CorrelationScope cscope(batch_cid(spec));
+    GT_LIVE_STAGE(kPrepare);
+    const auto t0 = std::chrono::steady_clock::now();
+    fault::PlanScope scope(plan, spec.batch_index);
+    ctx.begin_batch();
+    backend_->prepare_batch(dataset_, model_, spec, ctx);
+    us = elapsed_us(t0);
+  };
+  std::size_t pulled = 0;
+  // Takes the next spec into its slot and, when pooled, starts preparing it.
+  auto launch_prepare = [&]() -> bool {
+    std::optional<frameworks::BatchSpec> spec = pull();
+    if (!spec) return false;
+    const std::size_t s = pulled++ % depth;
+    specs[s] = *spec;
+    if (pooled)
+      inflight[s] = pool_->submit(
+          [prepare, ctx = contexts_[s].get(), spec = *spec,
+           us = &prepare_us[s]] { prepare(*ctx, spec, *us); });
+    return true;
+  };
+
+  // At depth 1 nothing runs ahead: each batch is pulled when it is next.
+  if (pooled)
+    while (pulled < depth && launch_prepare()) {
+    }
+  for (std::size_t i = 0; i < pulled || (!pooled && launch_prepare()); ++i) {
+    const std::size_t s = i % depth;
+    const frameworks::BatchSpec spec = specs[s];
+    pipeline::BatchContext& ctx = *contexts_[s];
+    frameworks::RunReport report;
+    try {
+      if (pooled)
+        inflight[s].get();  // rethrows preprocessing failures
+      else
+        prepare(ctx, spec, prepare_us[s]);
+      GT_OBS_SCOPE_N(span, batch_span, "service");
+      span.arg("batch", static_cast<std::int64_t>(spec.batch_index));
+      obs::live::CorrelationScope cscope(batch_cid(spec));
+      const auto t0 = std::chrono::steady_clock::now();
+      GT_LIVE_STAGE(kExecute);
+      fault::PlanScope scope(fault_plan_.get(), spec.batch_index);
+      report =
+          backend_->execute_prepared(dataset_, model_, params_, spec, ctx);
+      report.host_execute_us = elapsed_us(t0);
+      report.host_prepare_us = prepare_us[s];
+    } catch (const fault::InjectedFault& f) {
+      if (f.kind() == fault::Kind::kAbort) throw;  // guard drains behind us
+      // Transient, in prepare or execute: re-run the whole batch serially
+      // (this attempt burned #0); the ring stays intact for the batches
+      // behind it. If the re-run itself throws, the guard drains behind
+      // that unwind too.
+      report = run_with_recovery(spec, ctx, 1, f.what());
+    }
+    if (pooled) launch_prepare();
+    // Preparations still in flight behind this batch = the live queue
+    // depth the paper's scheduling section cares about (0 at depth 1).
+    done(i, spec, std::move(report), pulled - i - 1);
+  }
+}
+
 std::vector<frameworks::RunReport> GnnService::run_batches(
     std::size_t batches, bool inference) {
   std::vector<frameworks::RunReport> reports;
@@ -311,122 +427,20 @@ std::vector<frameworks::RunReport> GnnService::run_batches(
   for (std::size_t i = 0; i < batches; ++i)
     specs.push_back(next_spec(inference));
 
-  const std::size_t workers = std::min(options_.workers, batches);
-  ensure_contexts(std::max<std::size_t>(workers, 1));
-
-  if (workers <= 1) {
-    for (std::size_t i = 0; i < batches; ++i) {
-      GT_OBS_SCOPE("service.train_batch", "service");
-      reports.push_back(run_with_recovery(specs[i], *contexts_[0], 0, {}));
-      after_batch(specs[i], reports.back(), 0);
-    }
-    return reports;
-  }
-
-  // Bounded in-flight ring, capacity = workers: batch i preprocesses in
-  // context (i % workers) on the pool while earlier batches execute on
-  // this thread, strictly in batch order. prepare_batch never touches
-  // model parameters, so concurrency cannot change any report.
-  if (!pool_ || pool_->size() < workers) pool_ = nullptr;
-  if (!pool_) pool_ = std::make_unique<ThreadPool>(workers);
-  obs::metrics().gauge("service.workers").set(static_cast<double>(workers));
-
-  std::vector<std::future<void>> inflight(workers);
-  std::vector<double> prepare_us(workers, 0.0);
-
-  // Exception safety: the pool tasks write through captured pointers into
-  // `prepare_us` and the worker contexts. Before ANY unwind of this frame
-  // every launched task must have finished — wait() (unlike get()) does
-  // not rethrow, so the drain itself cannot throw; a stored exception is
-  // discarded with its future.
-  auto drain_inflight = [&]() noexcept {
-    for (std::future<void>& f : inflight)
-      if (f.valid()) f.wait();
-  };
-  // A throwing attempt leaves its context mid-batch; reset all of them so
-  // a caller that catches the propagated exception can keep serving.
-  auto quarantine_contexts = [&]() noexcept {
-    for (std::size_t w = 0; w < workers; ++w) contexts_[w]->begin_batch();
-  };
-  // Every unwind of this frame must run the drain first — not just the
-  // exceptions the catch handlers below see directly. A retry issued from
-  // inside a catch handler can itself throw (e.g. a kind=abort entry armed
-  // for a later attempt of the same batch), and that path would otherwise
-  // leave pool tasks writing through pointers into the destroyed stack
-  // vectors. Declared after the vectors and lambdas so it is destroyed
-  // before them on unwind.
-  auto unwind_cleanup = [&]() noexcept {
-    drain_inflight();
-    quarantine_contexts();
-    // The run is unwinding past the serving loop (kind=abort fault or a
-    // non-injected failure). Flush what telemetry has before the stack
-    // above decides whether the process survives — if it does, the next
-    // run keeps appending; if not, the post-mortem files are on disk.
-    if (telemetry_) telemetry_->crash_flush("service.run_batches unwind");
-  };
-  struct UnwindGuard {
-    decltype(unwind_cleanup)& cleanup;
-    int base = std::uncaught_exceptions();
-    ~UnwindGuard() {
-      if (std::uncaught_exceptions() > base) cleanup();
-    }
-  } guard{unwind_cleanup};
-
-  auto launch_prepare = [&](std::size_t i) {
-    pipeline::BatchContext* ctx = contexts_[i % workers].get();
-    double* slot_us = &prepare_us[i % workers];
-    const frameworks::BatchSpec spec = specs[i];
-    fault::FaultPlan* plan = fault_plan_.get();
-    inflight[i % workers] = pool_->submit([this, ctx, spec, slot_us, plan] {
-      GT_OBS_SCOPE_N(span, "service.prepare_batch", "service");
-      span.arg("batch", static_cast<std::int64_t>(spec.batch_index));
-      obs::live::CorrelationScope cscope(batch_cid(spec));
-      GT_LIVE_STAGE(kPrepare);
-      const auto t0 = std::chrono::steady_clock::now();
-      fault::PlanScope scope(plan, spec.batch_index);
-      ctx->begin_batch();
-      backend_->prepare_batch(dataset_, model_, spec, *ctx);
-      *slot_us = elapsed_us(t0);
-    });
-  };
-  for (std::size_t i = 0; i < workers; ++i) launch_prepare(i);
-  for (std::size_t i = 0; i < batches; ++i) {
-    pipeline::BatchContext& ctx = *contexts_[i % workers];
-    bool prepared = true;
-    try {
-      inflight[i % workers].get();  // rethrows preprocessing failures
-    } catch (const fault::InjectedFault& f) {
-      if (f.kind() == fault::Kind::kAbort) throw;  // guard drains behind us
-      // Transient: re-run the whole batch serially (prepare burned
-      // attempt #0); the ring stays intact for the batches behind it. If
-      // the re-run itself throws, the guard drains behind that unwind too.
-      prepared = false;
-      reports.push_back(run_with_recovery(specs[i], ctx, 1, f.what()));
-    }
-    if (prepared) {
-      GT_OBS_SCOPE_N(span, "service.train_batch", "service");
-      span.arg("batch", static_cast<std::int64_t>(specs[i].batch_index));
-      obs::live::CorrelationScope cscope(batch_cid(specs[i]));
-      const double batch_prepare_us = prepare_us[i % workers];
-      const auto t0 = std::chrono::steady_clock::now();
-      try {
-        GT_LIVE_STAGE(kExecute);
-        fault::PlanScope scope(fault_plan_.get(), specs[i].batch_index);
-        reports.push_back(backend_->execute_prepared(dataset_, model_,
-                                                     params_, specs[i], ctx));
-        reports.back().host_execute_us = elapsed_us(t0);
-        reports.back().host_prepare_us = batch_prepare_us;
-      } catch (const fault::InjectedFault& f) {
-        if (f.kind() == fault::Kind::kAbort) throw;  // guard drains behind us
-        reports.push_back(run_with_recovery(specs[i], ctx, 1, f.what()));
-      }
-    }
-    if (i + workers < batches) launch_prepare(i + workers);
-    // In-flight preparations still queued behind this batch = the live
-    // queue depth the paper's scheduling section cares about.
-    after_batch(specs[i], reports.back(),
-                std::min(workers, batches - i - 1));
-  }
+  std::size_t next = 0;
+  run_ring(
+      std::min(options_.workers, batches), "service.train_batch",
+      "service.run_batches unwind",
+      [&]() -> std::optional<frameworks::BatchSpec> {
+        if (next == specs.size()) return std::nullopt;
+        return specs[next++];
+      },
+      [&](std::size_t, const frameworks::BatchSpec& spec,
+          frameworks::RunReport&& report, std::size_t in_flight) {
+        reports.push_back(std::move(report));
+        after_batch(spec, reports.back(), in_flight);
+      },
+      []() noexcept {});
   return reports;
 }
 
@@ -545,22 +559,17 @@ serving::ServeReport GnnService::serve(const serving::ServeConfig& config) {
            " ticks, queue ", config.queue_depth, ", est ", est,
            " ticks/batch)");
 
-  const std::size_t workers = std::max<std::size_t>(options_.workers, 1);
-  ensure_contexts(workers);
-
-  // The plan grows lazily: planned[i] / specs[i] exist before batch i is
-  // prepared, and the planner keeps at most `workers` batches of lookahead
-  // beyond the one executing — the same bounded ring as run_batches.
+  // The plan grows lazily: the ring pulls planned[i] just before batch i
+  // prepares, so the planner keeps at most `workers` batches of lookahead
+  // beyond the one executing.
   std::vector<serving::PlannedBatch> planned;
-  std::vector<frameworks::BatchSpec> specs;
-  auto pull_plan = [&]() -> bool {
+  auto pull_plan = [&]() -> std::optional<frameworks::BatchSpec> {
     std::optional<serving::PlannedBatch> b = planner.next();
-    if (!b) return false;
+    if (!b) return std::nullopt;
     frameworks::BatchSpec spec = next_spec(/*inference=*/true);
     spec.batch_size = b->total_vertices;
     planned.push_back(std::move(*b));
-    specs.push_back(spec);
-    return true;
+    return spec;
   };
 
   // Incremental counter publication: snapshots taken mid-serve see live
@@ -638,104 +647,22 @@ serving::ServeReport GnnService::serve(const serving::ServeConfig& config) {
     m.counter("serving.batches").add(1);
   };
 
-  std::vector<std::future<void>> inflight(workers > 1 ? workers : 0);
-  std::vector<double> prepare_us(workers > 1 ? workers : 0, 0.0);
-  auto drain_inflight = [&]() noexcept {
-    for (std::future<void>& f : inflight)
-      if (f.valid()) f.wait();
-  };
-  auto quarantine_contexts = [&]() noexcept {
-    for (std::size_t w = 0; w < workers; ++w) contexts_[w]->begin_batch();
-  };
-  // Drain-on-unwind (same contract as run_batches, plus the serving queue):
-  // every pool task finishes before this frame's vectors die, the worker
-  // contexts reset, queued requests drain to kShedShutdown through the
-  // lifecycle's stopping state, and telemetry flushes the post-mortem.
-  auto unwind_cleanup = [&]() noexcept {
-    drain_inflight();
-    quarantine_contexts();
-    planner.shutdown();
-    publish_planner_counters();
-    if (telemetry_) telemetry_->crash_flush("service.serve unwind");
-  };
-  struct UnwindGuard {
-    decltype(unwind_cleanup)& cleanup;
-    int base = std::uncaught_exceptions();
-    ~UnwindGuard() {
-      if (std::uncaught_exceptions() > base) cleanup();
-    }
-  } guard{unwind_cleanup};
-
-  auto launch_prepare = [&](std::size_t i) {
-    pipeline::BatchContext* ctx = contexts_[i % workers].get();
-    double* slot_us = &prepare_us[i % workers];
-    const frameworks::BatchSpec spec = specs[i];
-    fault::FaultPlan* plan = fault_plan_.get();
-    inflight[i % workers] = pool_->submit([this, ctx, spec, slot_us, plan] {
-      GT_OBS_SCOPE_N(span, "service.prepare_batch", "service");
-      span.arg("batch", static_cast<std::int64_t>(spec.batch_index));
-      obs::live::CorrelationScope cscope(batch_cid(spec));
-      GT_LIVE_STAGE(kPrepare);
-      const auto t0 = std::chrono::steady_clock::now();
-      fault::PlanScope scope(plan, spec.batch_index);
-      ctx->begin_batch();
-      backend_->prepare_batch(dataset_, model_, spec, *ctx);
-      *slot_us = elapsed_us(t0);
-    });
-  };
-
-  if (workers <= 1) {
-    while (pull_plan()) {
-      const std::size_t i = planned.size() - 1;
-      GT_OBS_SCOPE_N(span, "service.serve_batch", "service");
-      span.arg("batch", static_cast<std::int64_t>(specs[i].batch_index));
-      const frameworks::RunReport r =
-          run_with_recovery(specs[i], *contexts_[0], 0, {});
-      price_batch(i, r);
-      publish_planner_counters();
-      after_batch(specs[i], r, planner.queue_size());
-    }
-  } else {
-    if (!pool_ || pool_->size() < workers) pool_ = nullptr;
-    if (!pool_) pool_ = std::make_unique<ThreadPool>(workers);
-    m.gauge("service.workers").set(static_cast<double>(workers));
-    std::size_t launched = 0;
-    while (launched < workers && pull_plan()) launch_prepare(launched++);
-    for (std::size_t i = 0; i < planned.size(); ++i) {
-      pipeline::BatchContext& ctx = *contexts_[i % workers];
-      frameworks::RunReport report;
-      bool prepared = true;
-      try {
-        inflight[i % workers].get();  // rethrows preprocessing failures
-      } catch (const fault::InjectedFault& f) {
-        if (f.kind() == fault::Kind::kAbort) throw;  // guard drains behind us
-        prepared = false;
-        report = run_with_recovery(specs[i], ctx, 1, f.what());
-      }
-      if (prepared) {
-        GT_OBS_SCOPE_N(span, "service.serve_batch", "service");
-        span.arg("batch", static_cast<std::int64_t>(specs[i].batch_index));
-        obs::live::CorrelationScope cscope(batch_cid(specs[i]));
-        const double batch_prepare_us = prepare_us[i % workers];
-        const auto t0 = std::chrono::steady_clock::now();
-        try {
-          GT_LIVE_STAGE(kExecute);
-          fault::PlanScope scope(fault_plan_.get(), specs[i].batch_index);
-          report = backend_->execute_prepared(dataset_, model_, params_,
-                                              specs[i], ctx);
-          report.host_execute_us = elapsed_us(t0);
-          report.host_prepare_us = batch_prepare_us;
-        } catch (const fault::InjectedFault& f) {
-          if (f.kind() == fault::Kind::kAbort) throw;
-          report = run_with_recovery(specs[i], ctx, 1, f.what());
-        }
-      }
-      if (pull_plan()) launch_prepare(launched++);
-      price_batch(i, report);
-      publish_planner_counters();
-      after_batch(specs[i], report, planner.queue_size());
-    }
-  }
+  // Drain-on-unwind: on top of the ring's own drain and context reset,
+  // queued requests drain to kShedShutdown through the lifecycle's stopping
+  // state, and the published counters catch up before telemetry flushes.
+  run_ring(
+      options_.workers, "service.serve_batch", "service.serve unwind",
+      pull_plan,
+      [&](std::size_t i, const frameworks::BatchSpec& spec,
+          frameworks::RunReport&& report, std::size_t) {
+        price_batch(i, report);
+        publish_planner_counters();
+        after_batch(spec, report, planner.queue_size());
+      },
+      [&]() noexcept {
+        planner.shutdown();
+        publish_planner_counters();
+      });
 
   planner.finish();
   publish_planner_counters();
@@ -840,3 +767,4 @@ double GnnService::evaluate(std::size_t batches) {
 }
 
 }  // namespace gt
+

@@ -229,6 +229,15 @@ class GnnService {
   frameworks::BatchSpec next_spec(bool inference);
   std::vector<frameworks::RunReport> run_batches(std::size_t batches,
                                                  bool inference);
+  /// The batch ring behind run_batches and serve (DESIGN.md §11): keeps
+  /// `depth` batches preparing ahead of the one executing (depth 1 = the
+  /// serial case). `pull()` yields the next spec or nullopt;
+  /// `done(i, spec, report, in_flight)` runs after batch i in order;
+  /// `unwind()` adds the caller's cleanup to the drain-before-unwind.
+  template <class Pull, class Done, class Unwind>
+  void run_ring(std::size_t depth, const char* batch_span,
+                const char* unwind_reason, Pull&& pull, Done&& done,
+                Unwind&& unwind);
   /// Run one batch attempt-by-attempt: retry transient InjectedFaults
   /// with virtual backoff (`failed_attempts` counts attempts already
   /// burned by the caller, e.g. a ring preparation that threw), degrade
@@ -261,7 +270,7 @@ class GnnService {
   std::uint64_t backoff_ticks_total_ = 0;
   std::vector<std::unique_ptr<pipeline::BatchContext>> contexts_;
   std::unique_ptr<pipeline::BatchContext> eval_context_;
-  std::unique_ptr<ThreadPool> pool_;  // lazy; only when workers > 1
+  std::unique_ptr<ThreadPool> pool_;  // lazy; only at ring depth > 1
 };
 
 }  // namespace gt

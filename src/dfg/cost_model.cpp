@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "dfg/least_squares.hpp"
-#include "gpusim/interconnect.hpp"
 #include "obs/metrics.hpp"
 
 namespace gt::dfg {
@@ -183,57 +182,6 @@ ResidualSummary DkpCostModel::residual_summary() const {
   s.p95_pct = rank(0.95);
   s.mean_pct = total / static_cast<double>(errs.size());
   return s;
-}
-
-void DkpCostModel::record_collective(std::size_t steps,
-                                     std::size_t bytes_on_wire, double us) {
-  coll_xs_.push_back({static_cast<double>(steps),
-                      static_cast<double>(bytes_on_wire)});
-  coll_ys_.push_back(us);
-}
-
-void DkpCostModel::fit_collective() {
-  if (coll_xs_.empty()) return;
-  // Relative least squares, matching fit(): every collective — latency-
-  // bound 2-device syncs and bandwidth-bound 8-device halo gathers alike —
-  // contributes equally to the fit.
-  std::vector<std::vector<double>> a;
-  std::vector<double> y;
-  a.reserve(coll_xs_.size());
-  for (std::size_t i = 0; i < coll_xs_.size(); ++i) {
-    if (coll_ys_[i] <= 0.0) continue;
-    a.push_back({coll_xs_[i][0] / coll_ys_[i], coll_xs_[i][1] / coll_ys_[i]});
-    y.push_back(1.0);
-  }
-  if (a.empty()) return;
-  const std::vector<double> c = least_squares(a, y);
-  coll_coeff_ = {c[0], c[1]};
-  // Same guard as fit(): a non-positive unit cost means the samples span
-  // too little of the (steps, bytes) plane; keep the analytic default.
-  const gpusim::LinkParams link;
-  if (coll_coeff_[0] <= 0.0) coll_coeff_[0] = link.latency_us;
-  if (coll_coeff_[1] <= 0.0) coll_coeff_[1] = 1.0 / link.bw_bytes_per_us;
-  coll_fitted_ = true;
-  obs::metrics().counter("dkp.collective_fits").add(1);
-}
-
-double DkpCostModel::predict_collective(std::size_t steps,
-                                        std::size_t bytes_on_wire) const {
-  if (coll_fitted_)
-    return coll_coeff_[0] * static_cast<double>(steps) +
-           coll_coeff_[1] * static_cast<double>(bytes_on_wire);
-  const gpusim::LinkParams link;
-  return link.latency_us * static_cast<double>(steps) +
-         static_cast<double>(bytes_on_wire) / link.bw_bytes_per_us;
-}
-
-double DkpCostModel::predict_group(const LayerDims& dims,
-                                   const PlacementCase& c,
-                                   std::size_t devices, std::size_t steps,
-                                   std::size_t bytes_on_wire) const {
-  const double per_device =
-      predict(dims, c) / static_cast<double>(devices == 0 ? 1 : devices);
-  return per_device + predict_collective(steps, bytes_on_wire);
 }
 
 double DkpCostModel::mean_relative_error() const {

@@ -127,46 +127,12 @@ class DkpCostModel {
   /// zeros while residuals() is empty (never NaN).
   ResidualSummary residual_summary() const;
 
-  // -- Multi-device terms (PR 8) --------------------------------------------
-  // Sharded runs feed every priced collective here, and the model fits a
-  // two-coefficient line  t_coll = k_step * steps + k_byte * bytes  over
-  // them. These terms are REPORTING/PREDICTION ONLY: placement decisions
-  // (decide / decide_training) never consult them — a decision that
-  // depended on the device count would change the kernel order and break
-  // the N-device == single-device digest contract (DESIGN.md §14).
-
-  /// Record one priced collective (ring steps, total wire bytes, cost).
-  void record_collective(std::size_t steps, std::size_t bytes_on_wire,
-                         double us);
-  std::size_t collective_sample_count() const noexcept {
-    return coll_xs_.size();
-  }
-  /// Least-squares fit of (k_step, k_byte) over the recorded collectives.
-  void fit_collective();
-  bool collective_fitted() const noexcept { return coll_fitted_; }
-  const std::array<double, 2>& collective_coefficients() const noexcept {
-    return coll_coeff_;
-  }
-  /// Predicted collective cost (us); interconnect-constant defaults
-  /// (gpusim::LinkParams) before fit_collective().
-  double predict_collective(std::size_t steps,
-                            std::size_t bytes_on_wire) const;
-  /// Reporting-only group estimate for one placement case: the case's
-  /// predicted latency split across `devices` plus the collective term.
-  double predict_group(const LayerDims& dims, const PlacementCase& c,
-                       std::size_t devices, std::size_t steps,
-                       std::size_t bytes_on_wire) const;
-
  private:
   std::vector<std::array<double, kFeatures>> xs_;
   std::vector<double> ys_;
   std::vector<ResidualSample> residuals_;  // post-fit probes only
   std::array<double, kFeatures> coeff_{};
   bool fitted_ = false;
-  std::vector<std::array<double, 2>> coll_xs_;
-  std::vector<double> coll_ys_;
-  std::array<double, 2> coll_coeff_{};
-  bool coll_fitted_ = false;
 };
 
 }  // namespace gt::dfg

@@ -319,9 +319,8 @@ RunReport GraphTensorFramework::execute_prepared(
     report.fwp_us = dev.profile_latency_us();
 
     // Shared report tail: when sharded, attribute the complete profile,
-    // price the strategy's collectives (also fed to the cost model's
-    // collective term — reporting only, never placement decisions), and
-    // merge the group timeline before the report is finalized.
+    // price the strategy's collectives, and merge the group timeline
+    // before the report is finalized.
     auto finalize = [&] {
       detail::ShardedExecution sx;
       const detail::ShardedExecution* sp = nullptr;
@@ -339,8 +338,6 @@ RunReport GraphTensorFramework::execute_prepared(
         sx = detail::shard_execution(dev.profile(), slices, shard_plan,
                                      dev.config().cost.launch_overhead_us,
                                      cp);
-        for (const gpusim::CollectiveCost& cc : sx.priced)
-          cost_model_.record_collective(cc.steps, cc.bytes_on_wire, cc.us);
         sp = &sx;
       }
       detail::finalize_report(report, dev, ctx.schedule(),
@@ -408,10 +405,6 @@ RunReport GraphTensorFramework::execute_prepared(
   if (dkp_active && !cost_model_.fitted() &&
       batches_seen_ >= kFitAfterBatches) {
     cost_model_.fit();
-  }
-  if (sharded && !cost_model_.collective_fitted() &&
-      batches_seen_ >= kFitAfterBatches) {
-    cost_model_.fit_collective();
   }
   return report;
 }

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cassert>
 #include <string>
 
@@ -152,17 +151,6 @@ void BlockCtx::flops(std::uint64_t n) { dev_.sms_[sm_].flops += n; }
 
 void BlockCtx::atomic(std::uint64_t n) { dev_.sms_[sm_].atomics += n; }
 
-void BlockCtx::atomic_add(float& slot, float v) {
-  if (!dev_.atomic_exec_) {
-    slot += v;
-    return;
-  }
-  std::atomic_ref<float> ref(slot);
-  float cur = ref.load(std::memory_order_relaxed);
-  while (!ref.compare_exchange_weak(cur, cur + v, std::memory_order_relaxed)) {
-  }
-}
-
 // ---- Device -----------------------------------------------------------------
 
 Device::Device(DeviceConfig config) : config_(config) {
@@ -287,7 +275,6 @@ KernelStats Device::run_kernel(const std::string& name,
   const bool parallel = pool != nullptr && !on_compute_worker() &&
                         num_blocks > 1 && config_.num_sms > 1;
   in_kernel_ = true;
-  atomic_exec_ = parallel && safety == BlockSafety::kAtomicAdd;
   if (parallel) {
     const std::size_t num_sms = config_.num_sms;
     pool->parallel_for(
@@ -308,7 +295,6 @@ KernelStats Device::run_kernel(const std::string& name,
       body(ctx);
     }
   }
-  atomic_exec_ = false;
   in_kernel_ = false;
 
   // Price the kernel. Compute throughput and DRAM bandwidth are

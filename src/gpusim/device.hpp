@@ -45,12 +45,6 @@ enum class BlockSafety {
   /// Apply kernels: one destination row per block). Each SM's block
   /// sequence runs on a pool worker; results are bit-identical to serial.
   kParallel,
-  /// Blocks scatter-add into shared rows through BlockCtx::atomic_add,
-  /// which turns into a CAS-add under parallel execution. Results are
-  /// correct but the float reduction order depends on interleaving — only
-  /// for kernels whose consumers tolerate that (none of the evaluation
-  /// backends do; they declare kSerial and keep bit-stable gradients).
-  kAtomicAdd,
 };
 
 /// Thrown when an allocation exceeds device capacity — reproduces the
@@ -93,14 +87,6 @@ class BlockCtx {
   /// Atomic read-modify-write on shared output (GNNAdvisor-style partial
   /// aggregation): charged a serialization penalty.
   void atomic(std::uint64_t n = 1);
-
-  /// Host-side scatter-add on possibly-shared memory. Under serial
-  /// execution this is a plain `slot += v`; when the kernel was declared
-  /// BlockSafety::kAtomicAdd and runs parallel it becomes a CAS-add so the
-  /// sum is correct whatever the interleaving. This models the data
-  /// movement of nothing — call atomic() separately to price the
-  /// serialization.
-  void atomic_add(float& slot, float v);
 
  private:
   friend class Device;
@@ -217,9 +203,6 @@ class Device {
   std::size_t alloc_count_ = 0;
   std::vector<SmState> sms_;
   bool in_kernel_ = false;
-  // True while a kAtomicAdd kernel is actually executing on pool workers;
-  // BlockCtx::atomic_add switches from plain add to CAS-add when set.
-  bool atomic_exec_ = false;
   std::vector<KernelStats> profile_;
   std::uint64_t launches_ = 0;  // run_kernel calls (fault-check 1:1)
   KernelPhase phase_ = KernelPhase::kOther;  // stamped onto profile entries

@@ -1,6 +1,11 @@
 #include "core/graphtensor.hpp"
 
+#include <cstdint>
+#include <vector>
+
 #include <gtest/gtest.h>
+
+#include "fault/harness.hpp"
 
 namespace gt {
 namespace {
@@ -66,34 +71,46 @@ TEST(GnnService, ConcurrentWorkersMatchSerialBitForBit) {
   // across N worker contexts must not change a single report field that is
   // batch-intrinsic. (arena_capacity_bytes / arena_growths are context
   // warm-up properties and legitimately differ across worker counts.)
+  // workers == 1 runs the same ring at depth 1, so the serial reference is
+  // a train_batch() loop, which goes through Framework::run_batch instead.
   ServiceOptions opt;
   opt.framework = "Prepro-GT";
   opt.batch_size = 48;
   opt.workers = 1;
+  GnnService reference(generate("products", 3), models::gcn(8, 47), opt);
   GnnService serial(generate("products", 3), models::gcn(8, 47), opt);
   opt.workers = 4;
   GnnService concurrent(generate("products", 3), models::gcn(8, 47), opt);
   EXPECT_EQ(concurrent.workers(), 4u);
 
+  std::vector<frameworks::RunReport> ref;
+  for (int i = 0; i < 8; ++i) ref.push_back(reference.train_batch());
   const auto a = serial.train_batches(8);
   const auto b = concurrent.train_batches(8);
   ASSERT_EQ(a.size(), 8u);
   ASSERT_EQ(b.size(), 8u);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    SCOPED_TRACE(i);
-    EXPECT_FALSE(a[i].oom);
-    EXPECT_FALSE(b[i].oom);
-    EXPECT_EQ(a[i].loss, b[i].loss);
-    EXPECT_EQ(a[i].end_to_end_us, b[i].end_to_end_us);
-    EXPECT_EQ(a[i].kernel_total_us, b[i].kernel_total_us);
-    EXPECT_EQ(a[i].flops, b[i].flops);
-    EXPECT_EQ(a[i].peak_memory_bytes, b[i].peak_memory_bytes);
-    EXPECT_EQ(a[i].preproc_makespan_us, b[i].preproc_makespan_us);
-    EXPECT_EQ(a[i].arena_peak_bytes, b[i].arena_peak_bytes);
-    EXPECT_EQ(a[i].arena_allocations, b[i].arena_allocations);
-    EXPECT_EQ(a[i].layer_comb_first_fwd, b[i].layer_comb_first_fwd);
+  for (const auto* run : {&a, &b}) {
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+      SCOPED_TRACE(i);
+      const frameworks::RunReport& x = ref[i];
+      const frameworks::RunReport& y = (*run)[i];
+      EXPECT_FALSE(x.oom);
+      EXPECT_FALSE(y.oom);
+      EXPECT_EQ(x.loss, y.loss);
+      EXPECT_EQ(x.end_to_end_us, y.end_to_end_us);
+      EXPECT_EQ(x.kernel_total_us, y.kernel_total_us);
+      EXPECT_EQ(x.flops, y.flops);
+      EXPECT_EQ(x.peak_memory_bytes, y.peak_memory_bytes);
+      EXPECT_EQ(x.preproc_makespan_us, y.preproc_makespan_us);
+      EXPECT_EQ(x.arena_peak_bytes, y.arena_peak_bytes);
+      EXPECT_EQ(x.arena_allocations, y.arena_allocations);
+      EXPECT_EQ(x.layer_comb_first_fwd, y.layer_comb_first_fwd);
+    }
   }
   // The trained parameters end up identical too.
+  const std::uint64_t digest = fault::params_digest(reference.params());
+  EXPECT_EQ(fault::params_digest(serial.params()), digest);
+  EXPECT_EQ(fault::params_digest(concurrent.params()), digest);
   EXPECT_DOUBLE_EQ(serial.evaluate(2), concurrent.evaluate(2));
 }
 

@@ -61,33 +61,40 @@ void expect_intrinsics_equal(const frameworks::RunReport& a,
 // fix those tasks kept writing through pointers into the destroyed stack
 // frame (prepare_us / inflight / the specs copy). Run under ASan/TSan
 // this test is the use-after-free regression; under any build it asserts
-// the service survives and keeps serving.
+// the service survives and keeps serving. Each abort test also runs at
+// workers == 1, the ring's inline depth, which must unwind the same way.
 TEST(ServiceFaults, AbortAtEarlyBatchDrainsInflightBeforeUnwind) {
-  ServiceOptions opt = base_options();
-  opt.workers = 4;
-  opt.fault_spec = "preproc.sample@batch=1:kind=abort";
-  GnnService service = make_service(opt);
-  EXPECT_THROW(service.train_batches(8), fault::InjectedFault);
-  // The abort entry fired once and disarmed; the quarantined contexts
-  // must come back clean for the next call.
-  const auto reports = service.train_batches(4);
-  ASSERT_EQ(reports.size(), 4u);
-  for (const auto& r : reports) {
-    EXPECT_TRUE(r.ok());
-    EXPECT_GT(r.loss, 0.0f);
+  for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(workers);
+    ServiceOptions opt = base_options();
+    opt.workers = workers;
+    opt.fault_spec = "preproc.sample@batch=1:kind=abort";
+    GnnService service = make_service(opt);
+    EXPECT_THROW(service.train_batches(8), fault::InjectedFault);
+    // The abort entry fired once and disarmed; the quarantined contexts
+    // must come back clean for the next call.
+    const auto reports = service.train_batches(4);
+    ASSERT_EQ(reports.size(), 4u);
+    for (const auto& r : reports) {
+      EXPECT_TRUE(r.ok());
+      EXPECT_GT(r.loss, 0.0f);
+    }
   }
 }
 
 TEST(ServiceFaults, AbortDuringExecuteAlsoDrainsAndRecovers) {
-  ServiceOptions opt = base_options();
-  opt.workers = 4;
-  opt.fault_spec = "gpusim.kernel@batch=0:kind=abort";
-  GnnService service = make_service(opt);
-  EXPECT_THROW(service.train_batches(6), fault::InjectedFault);
-  const auto reports = service.train_batches(2);
-  ASSERT_EQ(reports.size(), 2u);
-  EXPECT_TRUE(reports[0].ok());
-  EXPECT_TRUE(reports[1].ok());
+  for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(workers);
+    ServiceOptions opt = base_options();
+    opt.workers = workers;
+    opt.fault_spec = "gpusim.kernel@batch=0:kind=abort";
+    GnnService service = make_service(opt);
+    EXPECT_THROW(service.train_batches(6), fault::InjectedFault);
+    const auto reports = service.train_batches(2);
+    ASSERT_EQ(reports.size(), 2u);
+    EXPECT_TRUE(reports[0].ok());
+    EXPECT_TRUE(reports[1].ok());
+  }
 }
 
 // An abort can also fire on a RETRY — the attempt run_with_recovery
@@ -99,29 +106,36 @@ TEST(ServiceFaults, AbortDuringExecuteAlsoDrainsAndRecovers) {
 // the same coordinates, so the transient one fires first and the abort
 // takes over on the retry.
 TEST(ServiceFaults, AbortOnPrepareRetryStillDrainsInflight) {
-  ServiceOptions opt = base_options();
-  opt.workers = 4;
-  opt.fault_spec =
-      "preproc.sample@batch=2;preproc.sample@batch=2:kind=abort";
-  GnnService service = make_service(opt);
-  EXPECT_THROW(service.train_batches(8), fault::InjectedFault);
-  ASSERT_EQ(service.fault_plan()->injected(), 2u);  // transient, then abort
-  const auto reports = service.train_batches(4);
-  ASSERT_EQ(reports.size(), 4u);
-  for (const auto& r : reports) EXPECT_TRUE(r.ok());
+  for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(workers);
+    ServiceOptions opt = base_options();
+    opt.workers = workers;
+    opt.fault_spec =
+        "preproc.sample@batch=2;preproc.sample@batch=2:kind=abort";
+    GnnService service = make_service(opt);
+    EXPECT_THROW(service.train_batches(8), fault::InjectedFault);
+    ASSERT_EQ(service.fault_plan()->injected(), 2u);  // transient, then abort
+    const auto reports = service.train_batches(4);
+    ASSERT_EQ(reports.size(), 4u);
+    for (const auto& r : reports) EXPECT_TRUE(r.ok());
+  }
 }
 
 TEST(ServiceFaults, AbortOnExecuteRetryStillDrainsInflight) {
-  ServiceOptions opt = base_options();
-  opt.workers = 4;
-  opt.fault_spec = "gpusim.kernel@batch=1;gpusim.kernel@batch=1:kind=abort";
-  GnnService service = make_service(opt);
-  EXPECT_THROW(service.train_batches(6), fault::InjectedFault);
-  ASSERT_EQ(service.fault_plan()->injected(), 2u);
-  const auto reports = service.train_batches(2);
-  ASSERT_EQ(reports.size(), 2u);
-  EXPECT_TRUE(reports[0].ok());
-  EXPECT_TRUE(reports[1].ok());
+  for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE(workers);
+    ServiceOptions opt = base_options();
+    opt.workers = workers;
+    opt.fault_spec =
+        "gpusim.kernel@batch=1;gpusim.kernel@batch=1:kind=abort";
+    GnnService service = make_service(opt);
+    EXPECT_THROW(service.train_batches(6), fault::InjectedFault);
+    ASSERT_EQ(service.fault_plan()->injected(), 2u);
+    const auto reports = service.train_batches(2);
+    ASSERT_EQ(reports.size(), 2u);
+    EXPECT_TRUE(reports[0].ok());
+    EXPECT_TRUE(reports[1].ok());
+  }
 }
 
 // --- Transient faults recover bit-identically --------------------------------

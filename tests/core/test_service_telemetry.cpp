@@ -123,6 +123,43 @@ TEST(ServiceTelemetry, ChaosRunEmitsSnapshotsAndCorrelatedEvents) {
   std::filesystem::remove_all(dir);
 }
 
+// --- Abort unwinds leave a post-mortem ---------------------------------------
+
+// A kind=abort fault unwinds the batch ring; before the exception leaves
+// the service, live telemetry must flush a crash.flush event and
+// crash-metrics.json — for training and serving alike, and at workers == 1
+// (the ring's inline depth) as well as with preparations in flight.
+TEST(ServiceTelemetry, AbortUnwindCrashFlushesAtEveryDepth) {
+  for (const bool serving : {false, true}) {
+    for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
+      SCOPED_TRACE(std::string(serving ? "serve" : "train") + " workers " +
+                   std::to_string(workers));
+      const std::string dir = fresh_dir("abort");
+      ServiceOptions opt = base_options();
+      opt.workers = workers;
+      opt.fault_spec = "gpusim.kernel@batch=1:kind=abort";
+      opt.telemetry.out_dir = dir;
+      {
+        GnnService service = make_service(opt);
+        if (serving) {
+          serving::ServeConfig cfg;  // warm-up is batch 0, serving starts at 1
+          cfg.requests = 16;
+          cfg.vertices_per_request = 16;
+          EXPECT_THROW(service.serve(cfg), fault::InjectedFault);
+        } else {
+          EXPECT_THROW(service.train_batches(4), fault::InjectedFault);
+        }
+      }
+      EXPECT_TRUE(std::filesystem::exists(dir + "/crash-metrics.json"));
+      std::size_t flushes = 0;
+      for (const std::string& line : read_lines(dir + "/events.jsonl"))
+        flushes += has_type(line, "crash.flush");
+      EXPECT_EQ(flushes, 1u);
+      std::filesystem::remove_all(dir);
+    }
+  }
+}
+
 // --- Telemetry must not perturb the computation ------------------------------
 
 TEST(ServiceTelemetry, ArmedRunBitIdenticalToOffRun) {

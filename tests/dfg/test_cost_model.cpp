@@ -168,79 +168,5 @@ TEST(CostModel, ToString) {
                "combination-first");
 }
 
-TEST(CostModel, CollectiveFitRecoversSyntheticLine) {
-  // Samples drawn from a known t = k_step*steps + k_byte*bytes line across
-  // a wide (steps, bytes) range; the relative fit must recover both
-  // coefficients and predict held-out points.
-  constexpr double kStep = 1.7, kByte = 1.0 / 20e3;
-  DkpCostModel m;
-  EXPECT_FALSE(m.collective_fitted());
-  for (std::size_t steps : {2u, 6u, 14u}) {
-    for (std::size_t bytes : {4096u, 1u << 18, 1u << 22}) {
-      m.record_collective(steps, bytes,
-                          kStep * static_cast<double>(steps) +
-                              kByte * static_cast<double>(bytes));
-    }
-  }
-  EXPECT_EQ(m.collective_sample_count(), 9u);
-  m.fit_collective();
-  ASSERT_TRUE(m.collective_fitted());
-  EXPECT_NEAR(m.collective_coefficients()[0], kStep, 0.05 * kStep);
-  EXPECT_NEAR(m.collective_coefficients()[1], kByte, 0.05 * kByte);
-  const double expected = kStep * 10.0 + kByte * (1 << 20);
-  EXPECT_NEAR(m.predict_collective(10, 1 << 20), expected, 0.05 * expected);
-}
-
-TEST(CostModel, CollectivePredictionHasAnalyticDefaultBeforeFit) {
-  // Pre-fit predictions price against the nominal interconnect constants,
-  // so they are positive and monotone in both steps and bytes.
-  const DkpCostModel m;
-  EXPECT_GT(m.predict_collective(2, 1 << 20), 0.0);
-  EXPECT_GT(m.predict_collective(4, 1 << 20),
-            m.predict_collective(2, 1 << 20));
-  EXPECT_GT(m.predict_collective(2, 1 << 21),
-            m.predict_collective(2, 1 << 20));
-  EXPECT_EQ(m.predict_collective(0, 0), 0.0);
-}
-
-TEST(CostModel, DegenerateCollectiveSamplesFallBackToDefaults) {
-  // All samples at the same point: the 2-coefficient fit is underdetermined
-  // and one learned unit cost will be non-positive; the guard swaps in the
-  // analytic default instead of letting predictions go negative.
-  DkpCostModel m;
-  for (int i = 0; i < 4; ++i) m.record_collective(2, 0, 3.0);
-  m.fit_collective();
-  ASSERT_TRUE(m.collective_fitted());
-  EXPECT_GT(m.collective_coefficients()[0], 0.0);
-  EXPECT_GT(m.collective_coefficients()[1], 0.0);
-  EXPECT_GT(m.predict_collective(2, 1 << 20), 0.0);
-}
-
-TEST(CostModel, PredictGroupSplitsComputeAndAddsTheCollective) {
-  const DkpCostModel m;
-  const LayerDims dims{3000, 1000, 20000, 128, 16};
-  const PlacementCase c{KernelOrder::kAggregationFirst, false, false, false};
-  const double solo = m.predict(dims, c);
-  // No devices / no comm degenerates to the single-device prediction.
-  EXPECT_DOUBLE_EQ(m.predict_group(dims, c, 1, 0, 0), solo);
-  EXPECT_DOUBLE_EQ(m.predict_group(dims, c, 0, 0, 0), solo);
-  // Four devices split the compute but pay the all-reduce.
-  const double group = m.predict_group(dims, c, 4, 6, 1 << 20);
-  EXPECT_DOUBLE_EQ(group, solo / 4.0 + m.predict_collective(6, 1 << 20));
-  EXPECT_LT(group, solo);  // the decomposition is worth it at this size
-}
-
-TEST(CostModel, CollectiveTermsNeverChangePlacementDecisions) {
-  // DESIGN.md §14: placement must not depend on the device count, or the
-  // kernel order (and with it the digest) would change under sharding.
-  DkpCostModel m;
-  const LayerDims dims{3000, 1000, 20000, 256, 16};
-  const KernelOrder before = m.decide_training(dims, false, false);
-  for (std::size_t i = 0; i < 8; ++i)
-    m.record_collective(6, 1 << 20, 1e6);  // absurdly expensive comm
-  m.fit_collective();
-  EXPECT_EQ(m.decide_training(dims, false, false), before);
-}
-
 }  // namespace
 }  // namespace gt::dfg
