@@ -4,6 +4,11 @@
 // simulated GPU latency — useful for keeping the test/bench suite fast.
 #include <benchmark/benchmark.h>
 
+#include <cmath>
+#include <utility>
+#include <vector>
+
+#include "gpusim/cache.hpp"
 #include "graph/convert.hpp"
 #include "kernels/dl_approach.hpp"
 #include "kernels/graph_approach.hpp"
@@ -139,6 +144,60 @@ void BM_ApplyDense(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_ApplyDense)->Args({1000, 16})->Args({1000, 544});
+
+// Per-SM cache model in isolation. Arg 0: apply_matmul's pattern on one SM
+// (per block: its X row, then all 128 W rows of 64 B, then its output row),
+// so W stays resident and nearly every access hits. Arg 1: Zipf-skewed rows
+// of 256 B over 1M keys, so the 128 KiB cache misses and evicts constantly.
+// The stream is fixed-seed and built outside the timed loop; each iteration
+// replays it into a cleared cache, as one kernel launch does.
+void BM_SmCacheAccess(benchmark::State& state) {
+  constexpr std::uint32_t kX = 0, kW = 1, kOut = 2;
+  std::vector<std::pair<gpusim::CacheKey, std::size_t>> stream;
+  Xoshiro256 rng(4);
+  if (state.range(0) == 0) {
+    for (std::uint32_t r = 0; r < 512; ++r) {
+      stream.push_back({{kX, r, 0}, 128 * sizeof(float)});
+      for (std::uint32_t k = 0; k < 128; ++k)
+        stream.push_back({{kW, k, 0}, 16 * sizeof(float)});
+      stream.push_back({{kOut, r, 0}, 16 * sizeof(float)});
+    }
+  } else {
+    for (std::size_t i = 0; i < 65536; ++i) {
+      const auto row = static_cast<std::uint32_t>(
+          std::pow(1e6, rng.uniform_real()) - 1.0);  // density ~ 1/row
+      stream.push_back({{kX, row, 0}, 64 * sizeof(float)});
+    }
+  }
+  gpusim::SmCache cache(128 * 1024);
+  for (auto _ : state) {
+    cache.clear();
+    for (const auto& [key, bytes] : stream) cache.access(key, bytes);
+    benchmark::DoNotOptimize(cache.loaded_bytes());
+  }
+  state.counters["hit_share"] =
+      static_cast<double>(cache.hit_bytes()) /
+      static_cast<double>(cache.hit_bytes() + cache.loaded_bytes());
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(stream.size()));
+}
+BENCHMARK(BM_SmCacheAccess)->Arg(0)->Arg(1);
+
+// run_kernel's per-launch reset: clear all 82 SM caches, each holding a
+// few hundred lines from the previous kernel. Only the clears are timed;
+// the iteration count is fixed because the untimed refill dominates.
+void BM_SmCacheClear(benchmark::State& state) {
+  std::vector<gpusim::SmCache> caches(82, gpusim::SmCache(128 * 1024));
+  for (auto _ : state) {
+    for (auto& c : caches) c.clear();
+    state.PauseTiming();
+    for (auto& c : caches)
+      for (std::uint32_t r = 0; r < 256; ++r) c.access({0, r, 0}, 256);
+    state.ResumeTiming();
+  }
+  state.SetItemsProcessed(state.iterations() * 82);
+}
+BENCHMARK(BM_SmCacheClear)->Iterations(2000);
 
 // Tile-size sweep for the blocked matmul: register tile (row_tile) x cache
 // block (k_block = n_block). The fastest combination becomes MatmulTiling's

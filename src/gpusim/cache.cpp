@@ -2,33 +2,94 @@
 
 namespace gt::gpusim {
 
-bool SmCache::access(const CacheKey& key, std::size_t bytes) {
-  auto it = map_.find(key);
-  if (it != map_.end()) {
-    // Hit: move to front.
-    lru_.splice(lru_.begin(), lru_, it->second);
-    hit_bytes_ += bytes;
-    return true;
-  }
-  // Miss: evict until the new line fits. A line larger than the whole cache
-  // still loads (streamed) but is not retained.
+namespace {
+constexpr std::size_t kMinSlots = 16;  // power of two
+}  // namespace
+
+SmCache::SmCache(std::size_t capacity_bytes)
+    : capacity_bytes_(capacity_bytes), slots_(kMinSlots), mask_(kMinSlots - 1) {}
+
+void SmCache::miss(const CacheKey& key, std::size_t bytes) {
   loaded_bytes_ += bytes;
-  if (bytes > capacity_bytes_) return false;
-  while (resident_bytes_ + bytes > capacity_bytes_ && !lru_.empty()) {
-    const Line& victim = lru_.back();
-    resident_bytes_ -= victim.bytes;
-    map_.erase(victim.key);
-    lru_.pop_back();
+  if (bytes > capacity_bytes_) return;
+  while (resident_bytes_ + bytes > capacity_bytes_ && tail_ != kNil)
+    evict_lru();
+
+  std::uint32_t i;
+  if (free_ != kNil) {
+    i = free_;
+    free_ = slab_[i].next;
+  } else {
+    i = static_cast<std::uint32_t>(slab_used_++);
+    if (i == slab_.size()) slab_.emplace_back();
   }
-  lru_.push_front(Line{key, bytes});
-  map_[key] = lru_.begin();
+  slab_[i] = Line{key, kNil, head_, bytes};
+  if (head_ == kNil)
+    tail_ = i;
+  else
+    slab_[head_].prev = i;
+  head_ = i;
   resident_bytes_ += bytes;
-  return false;
+
+  if (2 * (lines_ + 1) > slots_.size()) grow_index();
+  index_insert(i);
+  ++lines_;
 }
 
-void SmCache::clear() {
-  lru_.clear();
-  map_.clear();
+void SmCache::evict_lru() {
+  const std::uint32_t v = tail_;
+  Line& victim = slab_[v];
+  resident_bytes_ -= victim.bytes;
+  index_erase(victim.key);
+  tail_ = victim.prev;
+  if (tail_ == kNil)
+    head_ = kNil;
+  else
+    slab_[tail_].next = kNil;
+  victim.next = free_;
+  free_ = v;
+  --lines_;
+}
+
+void SmCache::index_insert(std::uint32_t line) noexcept {
+  std::size_t i = CacheKeyHash{}(slab_[line].key) & mask_;
+  while (slots_[i].gen == gen_) i = (i + 1) & mask_;
+  slots_[i] = Slot{gen_, line};
+}
+
+void SmCache::index_erase(const CacheKey& key) noexcept {
+  std::size_t i = CacheKeyHash{}(key) & mask_;
+  while (slots_[i].gen != gen_ || !(slab_[slots_[i].line].key == key))
+    i = (i + 1) & mask_;
+  // Backward-shift deletion: pull later members of the probe run into the
+  // hole unless that would move one before its home slot, so every live key
+  // stays reachable from its home without tombstones.
+  for (std::size_t j = i;;) {
+    j = (j + 1) & mask_;
+    if (slots_[j].gen != gen_) break;
+    const std::size_t home =
+        CacheKeyHash{}(slab_[slots_[j].line].key) & mask_;
+    if (((j - home) & mask_) >= ((j - i) & mask_)) {
+      slots_[i] = slots_[j];
+      i = j;
+    }
+  }
+  slots_[i].gen = 0;  // generations start at 1, so 0 is never live
+}
+
+void SmCache::grow_index() {
+  std::vector<Slot> old(slots_.size() * 2);
+  old.swap(slots_);
+  mask_ = slots_.size() - 1;
+  for (const Slot& s : old)
+    if (s.gen == gen_) index_insert(s.line);
+}
+
+void SmCache::clear() noexcept {
+  ++gen_;
+  slab_used_ = 0;
+  free_ = head_ = tail_ = kNil;
+  lines_ = 0;
   resident_bytes_ = 0;
   loaded_bytes_ = 0;
   hit_bytes_ = 0;

@@ -5,12 +5,31 @@
 // paper's "cache bloat" metric is defined exactly as bytes of embedding data
 // loaded into SM caches relative to the embedding table size (Fig 6b). LRU
 // replacement, write-allocate.
+//
+// Layout. The model runs once per simulated load/store, so it is laid out
+// flat rather than as node containers:
+//   * a slab of Lines linked into the LRU order by intrusive uint32 prev/next
+//     indices; evicted lines go on a free list, so after warm-up a miss
+//     allocates nothing;
+//   * an open-addressing index (power-of-two slots, linear probing, grown at
+//     load factor 1/2) from key to slab position, with backward-shift
+//     deletion so evictions leave no tombstones. A slot holds only a stamp
+//     and a slab position (16 B); keys are compared in the slab line, which
+//     a hit touches anyway;
+//   * a 64-bit generation stamp: a slot is live only while its stamp equals
+//     the cache's generation, so clear() is O(1) — it bumps the generation
+//     and resets the list heads and counters, keeping the slab and index at
+//     their high-water size for the next kernel. At one clear per kernel the
+//     stamp cannot wrap.
+// The replacement policy is exactly the textbook list+map LRU (the tests
+// keep one as an oracle): the same hit/miss sequence and eviction order, so
+// every byte count, and everything priced from them, is unchanged by the
+// layout.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
+#include <vector>
 
 namespace gt::gpusim {
 
@@ -35,31 +54,82 @@ struct CacheKeyHash {
 
 class SmCache {
  public:
-  explicit SmCache(std::size_t capacity_bytes)
-      : capacity_bytes_(capacity_bytes) {}
+  explicit SmCache(std::size_t capacity_bytes);
 
   /// Touch a line of `bytes`. Returns true on hit. On miss the line is
-  /// loaded (LRU evictions as needed) and `loaded_bytes` grows.
-  bool access(const CacheKey& key, std::size_t bytes);
+  /// loaded (LRU evictions as needed) and `loaded_bytes` grows. A line
+  /// larger than the whole cache is loaded (streamed) but not retained.
+  bool access(const CacheKey& key, std::size_t bytes) {
+    for (std::size_t i = CacheKeyHash{}(key) & mask_;; i = (i + 1) & mask_) {
+      const Slot& s = slots_[i];
+      if (s.gen != gen_) break;
+      if (slab_[s.line].key == key) {
+        move_to_front(s.line);
+        hit_bytes_ += bytes;
+        return true;
+      }
+    }
+    miss(key, bytes);
+    return false;
+  }
 
-  void clear();
+  void clear() noexcept;
 
   std::size_t loaded_bytes() const noexcept { return loaded_bytes_; }
   std::size_t hit_bytes() const noexcept { return hit_bytes_; }
   std::size_t resident_bytes() const noexcept { return resident_bytes_; }
 
  private:
+  static constexpr std::uint32_t kNil = ~0u;
+
   struct Line {
     CacheKey key;
-    std::size_t bytes;
+    std::uint32_t prev = kNil;  // towards the MRU end (head_)
+    std::uint32_t next = kNil;  // towards the LRU end (tail_)
+    std::size_t bytes = 0;
   };
+  static_assert(sizeof(Line) <= 32);
+
+  struct Slot {
+    std::uint64_t gen = 0;  // live iff == gen_
+    std::uint32_t line = 0;
+  };
+
+  void move_to_front(std::uint32_t i) noexcept {
+    if (i == head_) return;
+    Line& l = slab_[i];
+    slab_[l.prev].next = l.next;
+    if (l.next == kNil)
+      tail_ = l.prev;
+    else
+      slab_[l.next].prev = l.prev;
+    l.prev = kNil;
+    l.next = head_;
+    slab_[head_].prev = i;
+    head_ = i;
+  }
+
+  void miss(const CacheKey& key, std::size_t bytes);
+  void evict_lru();
+  void index_insert(std::uint32_t line) noexcept;
+  void index_erase(const CacheKey& key) noexcept;
+  void grow_index();
 
   std::size_t capacity_bytes_;
   std::size_t resident_bytes_ = 0;
   std::size_t loaded_bytes_ = 0;  // cumulative fill traffic (misses)
   std::size_t hit_bytes_ = 0;
-  std::list<Line> lru_;  // front = most recent
-  std::unordered_map<CacheKey, std::list<Line>::iterator, CacheKeyHash> map_;
+
+  std::vector<Line> slab_;
+  std::size_t slab_used_ = 0;  // slab_[0, slab_used_) belongs to this gen
+  std::uint32_t free_ = kNil;  // evicted lines, chained through `next`
+  std::uint32_t head_ = kNil;  // most recently used
+  std::uint32_t tail_ = kNil;  // least recently used
+  std::size_t lines_ = 0;      // resident lines == live index slots
+
+  std::vector<Slot> slots_;
+  std::size_t mask_ = 0;
+  std::uint64_t gen_ = 1;
 };
 
 }  // namespace gt::gpusim

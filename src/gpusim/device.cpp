@@ -122,35 +122,6 @@ KernelStats accumulate(const std::vector<KernelStats>& profile,
   return total;
 }
 
-// ---- BlockCtx ---------------------------------------------------------------
-
-void BlockCtx::load(BufferId buf, std::uint32_t row, std::size_t bytes,
-                    std::uint32_t chunk) {
-  auto& sm = dev_.sms_[sm_];
-  sm.cache.access(CacheKey{buf, row, chunk}, bytes);
-}
-
-void BlockCtx::store(BufferId buf, std::uint32_t row, std::size_t bytes,
-                     std::uint32_t chunk) {
-  auto& sm = dev_.sms_[sm_];
-  // Write-through: the store always reaches DRAM; write-allocate keeps the
-  // line resident for subsequent reuse (NAPA accumulators rely on this).
-  sm.raw_global_bytes += bytes;
-  sm.cache.access(CacheKey{buf, row, chunk}, bytes);
-}
-
-void BlockCtx::global_read(std::size_t bytes) {
-  dev_.sms_[sm_].raw_global_bytes += bytes;
-}
-
-void BlockCtx::global_write(std::size_t bytes) {
-  dev_.sms_[sm_].raw_global_bytes += bytes;
-}
-
-void BlockCtx::flops(std::uint64_t n) { dev_.sms_[sm_].flops += n; }
-
-void BlockCtx::atomic(std::uint64_t n) { dev_.sms_[sm_].atomics += n; }
-
 // ---- Device -----------------------------------------------------------------
 
 Device::Device(DeviceConfig config) : config_(config) {

@@ -208,4 +208,34 @@ class Device {
   KernelPhase phase_ = KernelPhase::kOther;  // stamped onto profile entries
 };
 
+// ---- BlockCtx ---------------------------------------------------------------
+// Inline: these run once per simulated access, hundreds of millions of times
+// in a training run.
+
+inline void BlockCtx::load(BufferId buf, std::uint32_t row, std::size_t bytes,
+                           std::uint32_t chunk) {
+  dev_.sms_[sm_].cache.access(CacheKey{buf, row, chunk}, bytes);
+}
+
+inline void BlockCtx::store(BufferId buf, std::uint32_t row,
+                            std::size_t bytes, std::uint32_t chunk) {
+  auto& sm = dev_.sms_[sm_];
+  // Write-through: the store always reaches DRAM; write-allocate keeps the
+  // line resident for subsequent reuse (NAPA accumulators rely on this).
+  sm.raw_global_bytes += bytes;
+  sm.cache.access(CacheKey{buf, row, chunk}, bytes);
+}
+
+inline void BlockCtx::global_read(std::size_t bytes) {
+  dev_.sms_[sm_].raw_global_bytes += bytes;
+}
+
+inline void BlockCtx::global_write(std::size_t bytes) {
+  dev_.sms_[sm_].raw_global_bytes += bytes;
+}
+
+inline void BlockCtx::flops(std::uint64_t n) { dev_.sms_[sm_].flops += n; }
+
+inline void BlockCtx::atomic(std::uint64_t n) { dev_.sms_[sm_].atomics += n; }
+
 }  // namespace gt::gpusim

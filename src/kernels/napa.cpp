@@ -1,8 +1,11 @@
 #include "kernels/napa.hpp"
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
 #include <vector>
+
+#include "util/parallel.hpp"
 
 namespace gt::kernels::napa {
 
@@ -11,6 +14,30 @@ using gpusim::BlockSafety;
 using gpusim::BufferId;
 using gpusim::Device;
 using gpusim::KernelCategory;
+
+namespace {
+
+// dW += X^T dY for X rows x feat and dY rows x hidden, on the compute
+// engine. Chunks own disjoint dW rows (k ranges) and walk r ascending in
+// the outer loop, so each dW element accumulates in exactly the serial
+// order: bit-identical for any thread count and chunking.
+void accumulate_dw(std::span<const float> xv, std::span<const float> dyv,
+                   std::span<float> dwv, std::size_t rows, std::size_t feat,
+                   std::size_t hidden) {
+  compute_parallel_for(0, feat, [&](std::size_t k_lo, std::size_t k_hi) {
+    for (std::size_t r = 0; r < rows; ++r) {
+      const float* xr = &xv[r * feat];
+      const float* dyr = &dyv[r * hidden];
+      for (std::size_t k = k_lo; k < k_hi; ++k) {
+        const float xk = xr[k];
+        float* dwrow = &dwv[k * hidden];
+        for (std::size_t c = 0; c < hidden; ++c) dwrow[c] += xk * dyr[c];
+      }
+    }
+  });
+}
+
+}  // namespace
 
 // Every NAPA kernel is vertex-centric: block b owns output row b (or the
 // edge range of destination b), so writes are disjoint and the kernels are
@@ -235,17 +262,10 @@ DenseGrads apply_dense_backward(Device& dev, BufferId x, BufferId w,
   }
 
   // dW = X^T dZ and db = colsum(dZ): bandwidth-dominated reductions.
-  auto xv = dev.f32(x);
-  auto dwv = dev.f32(grads.dw);
+  accumulate_dw(dev.f32(x), dzv, dev.f32(grads.dw), rows, feat, hidden);
   auto dbv = dev.f32(grads.db);
   for (std::size_t r = 0; r < rows; ++r) {
-    const float* xr = &xv[r * feat];
     const float* dzr = &dzv[r * hidden];
-    for (std::size_t k = 0; k < feat; ++k) {
-      const float xk = xr[k];
-      float* dwrow = &dwv[k * hidden];
-      for (std::size_t c = 0; c < hidden; ++c) dwrow[c] += xk * dzr[c];
-    }
     for (std::size_t c = 0; c < hidden; ++c) dbv[c] += dzr[c];
   }
   dev.charge_kernel("Apply.MatMulGradW", KernelCategory::kCombination,
@@ -323,17 +343,7 @@ MatmulGrads apply_matmul_backward(Device& dev, BufferId x, BufferId w,
     }, BlockSafety::kParallel);
   }
 
-  auto xv = dev.f32(x);
-  auto dwv = dev.f32(grads.dw);
-  for (std::size_t r = 0; r < rows; ++r) {
-    const float* xr = &xv[r * feat];
-    const float* dyr = &dyv[r * hidden];
-    for (std::size_t k = 0; k < feat; ++k) {
-      const float xk = xr[k];
-      float* dwrow = &dwv[k * hidden];
-      for (std::size_t c = 0; c < hidden; ++c) dwrow[c] += xk * dyr[c];
-    }
-  }
+  accumulate_dw(dev.f32(x), dyv, dev.f32(grads.dw), rows, feat, hidden);
   dev.charge_kernel("Apply.MatMulGradW", KernelCategory::kCombination,
                     2ull * rows * feat * hidden,
                     rows * (feat + hidden) * sizeof(float) +
