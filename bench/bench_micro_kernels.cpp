@@ -145,6 +145,29 @@ void BM_ApplyDense(benchmark::State& state) {
 }
 BENCHMARK(BM_ApplyDense)->Args({1000, 16})->Args({1000, 544});
 
+// Backward of apply_matmul at the train-heavy input width: dX = dY W^T on
+// the simulated device, then the dW = X^T dY reduction. Args: {rows, feat,
+// hidden}.
+void BM_ApplyMatmulBackward(benchmark::State& state) {
+  Xoshiro256 rng(2);
+  const Matrix x = Matrix::uniform(state.range(0), state.range(1), rng);
+  const Matrix w = Matrix::glorot(state.range(1), state.range(2), rng);
+  const Matrix dy = Matrix::uniform(state.range(0), state.range(2), rng);
+  gpusim::Device dev;
+  auto xb = kernels::upload_matrix(dev, x, "x");
+  auto wb = kernels::upload_matrix(dev, w, "w");
+  auto dyb = kernels::upload_matrix(dev, dy, "dy");
+  for (auto _ : state) {
+    auto grads = kernels::napa::apply_matmul_backward(dev, xb, wb, dyb, true);
+    benchmark::DoNotOptimize(dev.f32(grads.dw).data());
+    dev.free(grads.dx);
+    dev.free(grads.dw);
+    dev.clear_profile();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ApplyMatmulBackward)->Args({1000, 544, 8});
+
 // Per-SM cache model in isolation. Arg 0: apply_matmul's pattern on one SM
 // (per block: its X row, then all 128 W rows of 64 B, then its output row),
 // so W stays resident and nearly every access hits. Arg 1: Zipf-skewed rows
@@ -182,6 +205,30 @@ void BM_SmCacheAccess(benchmark::State& state) {
                           static_cast<std::int64_t>(stream.size()));
 }
 BENCHMARK(BM_SmCacheAccess)->Arg(0)->Arg(1);
+
+// The Apply kernels' weight-row stream through access_run: 82 blocks on one
+// SM, each loading its 544-float X row, all 544 W rows of 32 B (hidden 8)
+// as one run, then storing its output row. Items are the modelled
+// accesses, so the rate compares directly with BM_SmCacheAccess/0.
+void BM_SmCacheAccessRun(benchmark::State& state) {
+  constexpr std::uint32_t kX = 0, kW = 1, kOut = 2, kFeat = 544;
+  constexpr std::uint32_t kBlocks = 82;
+  gpusim::SmCache cache(128 * 1024);
+  for (auto _ : state) {
+    cache.clear();
+    for (std::uint32_t r = 0; r < kBlocks; ++r) {
+      cache.access({kX, r, 0}, kFeat * sizeof(float));
+      cache.access_run(kW, 0, kFeat, 8 * sizeof(float));
+      cache.access({kOut, r, 0}, 8 * sizeof(float));
+    }
+    benchmark::DoNotOptimize(cache.hit_bytes());
+  }
+  state.counters["hit_share"] =
+      static_cast<double>(cache.hit_bytes()) /
+      static_cast<double>(cache.hit_bytes() + cache.loaded_bytes());
+  state.SetItemsProcessed(state.iterations() * kBlocks * (kFeat + 2));
+}
+BENCHMARK(BM_SmCacheAccessRun);
 
 // run_kernel's per-launch reset: clear all 82 SM caches, each holding a
 // few hundred lines from the previous kernel. Only the clears are timed;

@@ -73,7 +73,7 @@
 //                table and the epoch keeps going.
 //   --max-retries=N retry budget per batch (default 3).
 //   Chaos example:
-//     ./examples/service_cli products GCN Prepro-GT 8 --workers=4 \
+//     ./examples/service_cli products GCN Prepro-GT 8 --workers=4
 //         --fault-spec="preproc.sample@batch=2;gpusim.kernel@batch=5:always"
 //
 // Observability flags (anywhere on the command line); each flag also

@@ -36,9 +36,49 @@ void SmCache::miss(const CacheKey& key, std::size_t bytes) {
   ++lines_;
 }
 
+void SmCache::access_run(std::uint32_t buffer, std::uint32_t first,
+                         std::uint32_t n, std::size_t bytes) {
+  if (n == 0) return;
+  if (run_.n != n || run_.buffer != buffer || run_.first != first) {
+    // Establish: row `first` must be resident with rows first+1 .. first+n-1
+    // stacked head-ward of it, one link each.
+    const std::uint32_t lo = find({buffer, first, 0});
+    std::uint32_t hi = lo;
+    for (std::uint32_t k = 1; k < n && hi != kNil; ++k) {
+      hi = slab_[hi].prev;
+      if (hi != kNil && !(slab_[hi].key == CacheKey{buffer, first + k, 0}))
+        hi = kNil;
+    }
+    if (hi == kNil) {
+      for (std::uint32_t k = 0; k < n; ++k)
+        access({buffer, first + k, 0}, bytes);
+      return;
+    }
+    run_ = Run{buffer, first, n, lo, hi};
+  }
+  splice_to_front(run_.hi, run_.lo);
+  hit_bytes_ += n * bytes;
+}
+
+void SmCache::splice_to_front(std::uint32_t hi, std::uint32_t lo) noexcept {
+  if (hi == head_) return;
+  const std::uint32_t before = slab_[hi].prev;
+  const std::uint32_t after = slab_[lo].next;
+  slab_[before].next = after;
+  if (after == kNil)
+    tail_ = before;
+  else
+    slab_[after].prev = before;
+  slab_[hi].prev = kNil;
+  slab_[lo].next = head_;
+  slab_[head_].prev = lo;
+  head_ = hi;
+}
+
 void SmCache::evict_lru() {
   const std::uint32_t v = tail_;
   Line& victim = slab_[v];
+  if (in_run(victim.key)) run_.n = 0;
   resident_bytes_ -= victim.bytes;
   index_erase(victim.key);
   tail_ = victim.prev;
@@ -87,6 +127,7 @@ void SmCache::grow_index() {
 
 void SmCache::clear() noexcept {
   ++gen_;
+  run_.n = 0;
   slab_used_ = 0;
   free_ = head_ = tail_ = kNil;
   lines_ = 0;

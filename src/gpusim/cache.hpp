@@ -25,6 +25,24 @@
 // keep one as an oracle): the same hit/miss sequence and eviction order, so
 // every byte count, and everything priced from them, is unchanged by the
 // layout.
+//
+// Runs. Dense Apply kernels read every row of the weight matrix, in
+// ascending order, once per block. access_run() models such a stream as
+// exactly the per-row access() calls it replaces, but pays for them in O(1)
+// once the rows are known to sit together. A one-slot memo {buffer, first,
+// n, lo, hi} records that rows [first, first+n) of `buffer` (chunk 0) are
+// resident as one contiguous LRU segment, with row first+n-1 (slab line
+// `hi`) head-ward and row `first` (`lo`) tail-ward — the order an
+// ascending run leaves them in. While that holds, the n accesses are all
+// hits, and their whole effect is to splice the segment to the front and
+// add n * bytes to the hit count. The invariant survives misses (they
+// insert at the head, outside the segment) and hits or evictions of other
+// lines (they relink around it). Three events break it, and each drops the
+// memo: a non-head hit on a member (move_to_front), the eviction of a
+// member (evict_lru), and clear(). Without a memo, access_run() probes row
+// `first` and walks `prev` n-1 times comparing keys, which mutates nothing;
+// if the walk proves the segment it splices and sets the memo, otherwise it
+// falls back to the n plain accesses.
 #pragma once
 
 #include <cstddef>
@@ -60,18 +78,20 @@ class SmCache {
   /// loaded (LRU evictions as needed) and `loaded_bytes` grows. A line
   /// larger than the whole cache is loaded (streamed) but not retained.
   bool access(const CacheKey& key, std::size_t bytes) {
-    for (std::size_t i = CacheKeyHash{}(key) & mask_;; i = (i + 1) & mask_) {
-      const Slot& s = slots_[i];
-      if (s.gen != gen_) break;
-      if (slab_[s.line].key == key) {
-        move_to_front(s.line);
-        hit_bytes_ += bytes;
-        return true;
-      }
+    const std::uint32_t i = find(key);
+    if (i == kNil) {
+      miss(key, bytes);
+      return false;
     }
-    miss(key, bytes);
-    return false;
+    move_to_front(i);
+    hit_bytes_ += bytes;
+    return true;
   }
+
+  /// Exactly `n` calls access({buffer, first + k, 0}, bytes) for k
+  /// ascending, in O(1) while the run memo holds (see the header comment).
+  void access_run(std::uint32_t buffer, std::uint32_t first, std::uint32_t n,
+                  std::size_t bytes);
 
   void clear() noexcept;
 
@@ -98,6 +118,7 @@ class SmCache {
   void move_to_front(std::uint32_t i) noexcept {
     if (i == head_) return;
     Line& l = slab_[i];
+    if (in_run(l.key)) run_.n = 0;
     slab_[l.prev].next = l.next;
     if (l.next == kNil)
       tail_ = l.prev;
@@ -109,6 +130,31 @@ class SmCache {
     head_ = i;
   }
 
+  // The memoised run: rows [first, first+n) of `buffer`, chunk 0, resident
+  // as one LRU segment from slab line `hi` (row first+n-1, head-ward) to
+  // `lo` (row first). n == 0 means no memo.
+  struct Run {
+    std::uint32_t buffer = 0;
+    std::uint32_t first = 0;
+    std::uint32_t n = 0;
+    std::uint32_t lo = kNil;
+    std::uint32_t hi = kNil;
+  };
+
+  bool in_run(const CacheKey& key) const noexcept {
+    return key.row - run_.first < run_.n && key.buffer == run_.buffer &&
+           key.chunk == 0;
+  }
+
+  std::uint32_t find(const CacheKey& key) const noexcept {
+    for (std::size_t i = CacheKeyHash{}(key) & mask_;; i = (i + 1) & mask_) {
+      const Slot& s = slots_[i];
+      if (s.gen != gen_) return kNil;
+      if (slab_[s.line].key == key) return s.line;
+    }
+  }
+
+  void splice_to_front(std::uint32_t hi, std::uint32_t lo) noexcept;
   void miss(const CacheKey& key, std::size_t bytes);
   void evict_lru();
   void index_insert(std::uint32_t line) noexcept;
@@ -130,6 +176,8 @@ class SmCache {
   std::vector<Slot> slots_;
   std::size_t mask_ = 0;
   std::uint64_t gen_ = 1;
+
+  Run run_;
 };
 
 }  // namespace gt::gpusim

@@ -73,6 +73,12 @@ class BlockCtx {
   void load(BufferId buf, std::uint32_t row, std::size_t bytes,
             std::uint32_t chunk = 0);
 
+  /// Model reads of rows first .. first+n-1 of `buf` (chunk 0), in that
+  /// order: exactly n load() calls, at O(1) cost while the rows stay
+  /// together in the SM cache (SmCache::access_run).
+  void load_rows(BufferId buf, std::uint32_t first, std::uint32_t n,
+                 std::size_t bytes);
+
   /// Model a write: write-through (global traffic) + write-allocate.
   void store(BufferId buf, std::uint32_t row, std::size_t bytes,
              std::uint32_t chunk = 0);
@@ -215,6 +221,11 @@ class Device {
 inline void BlockCtx::load(BufferId buf, std::uint32_t row, std::size_t bytes,
                            std::uint32_t chunk) {
   dev_.sms_[sm_].cache.access(CacheKey{buf, row, chunk}, bytes);
+}
+
+inline void BlockCtx::load_rows(BufferId buf, std::uint32_t first,
+                               std::uint32_t n, std::size_t bytes) {
+  dev_.sms_[sm_].cache.access_run(buf, first, n, bytes);
 }
 
 inline void BlockCtx::store(BufferId buf, std::uint32_t row,

@@ -17,22 +17,81 @@ using gpusim::KernelCategory;
 
 namespace {
 
+// out += x . W for one row: x is 1 x feat, W feat x hidden, out 1 x hidden.
+// Eight output columns stay in registers across all k, so the output row is
+// loaded and stored once instead of once per k. Every element still adds
+// x[0]*W[0][c], x[1]*W[1][c], ... in k order onto its starting value, the
+// exact sequence of the k-outer loop `out[c] += x[k] * W[k][c]`: the build
+// forbids contraction (ISO C++, no -mfma, no fast-math), so the result is
+// bit-identical to it.
+void row_times_matrix(const float* x, const float* w, float* out,
+                      std::size_t feat, std::size_t hidden) {
+  constexpr std::size_t kCols = 8;
+  std::size_t c0 = 0;
+  for (; c0 + kCols <= hidden; c0 += kCols) {
+    float acc[kCols];
+    for (std::size_t j = 0; j < kCols; ++j) acc[j] = out[c0 + j];
+    for (std::size_t k = 0; k < feat; ++k) {
+      const float xk = x[k];
+      const float* wk = &w[k * hidden + c0];
+      for (std::size_t j = 0; j < kCols; ++j) acc[j] += xk * wk[j];
+    }
+    for (std::size_t j = 0; j < kCols; ++j) out[c0 + j] = acc[j];
+  }
+  for (; c0 < hidden; ++c0) {
+    float acc = out[c0];
+    for (std::size_t k = 0; k < feat; ++k) acc += x[k] * w[k * hidden + c0];
+    out[c0] = acc;
+  }
+}
+
 // dW += X^T dY for X rows x feat and dY rows x hidden, on the compute
-// engine. Chunks own disjoint dW rows (k ranges) and walk r ascending in
-// the outer loop, so each dW element accumulates in exactly the serial
-// order: bit-identical for any thread count and chunking.
+// engine. Chunks own disjoint dW rows (k ranges). Inside a chunk, a
+// register tile of 4 dW rows x 8 columns sums 64 X rows at a time; the
+// row tiles go in ascending order and r ascends inside each, so every dW
+// element adds x[r][k] * dy[r][c] for r = 0, 1, ... exactly as the serial
+// r-outer loop does: bit-identical for any thread count and chunking.
 void accumulate_dw(std::span<const float> xv, std::span<const float> dyv,
                    std::span<float> dwv, std::size_t rows, std::size_t feat,
                    std::size_t hidden) {
+  constexpr std::size_t kRowTile = 64, kKTile = 4, kCols = 8;
   compute_parallel_for(0, feat, [&](std::size_t k_lo, std::size_t k_hi) {
-    for (std::size_t r = 0; r < rows; ++r) {
-      const float* xr = &xv[r * feat];
-      const float* dyr = &dyv[r * hidden];
-      for (std::size_t k = k_lo; k < k_hi; ++k) {
-        const float xk = xr[k];
-        float* dwrow = &dwv[k * hidden];
-        for (std::size_t c = 0; c < hidden; ++c) dwrow[c] += xk * dyr[c];
+    // One dW element over rows [r0, r1), for the tails.
+    auto scalar = [&](std::size_t k, std::size_t c, std::size_t r0,
+                      std::size_t r1) {
+      float acc = dwv[k * hidden + c];
+      for (std::size_t r = r0; r < r1; ++r)
+        acc += xv[r * feat + k] * dyv[r * hidden + c];
+      dwv[k * hidden + c] = acc;
+    };
+    for (std::size_t r0 = 0; r0 < rows; r0 += kRowTile) {
+      const std::size_t r1 = std::min(rows, r0 + kRowTile);
+      std::size_t k = k_lo;
+      for (; k + kKTile <= k_hi; k += kKTile) {
+        std::size_t c0 = 0;
+        for (; c0 + kCols <= hidden; c0 += kCols) {
+          float acc[kKTile][kCols];
+          for (std::size_t i = 0; i < kKTile; ++i)
+            for (std::size_t j = 0; j < kCols; ++j)
+              acc[i][j] = dwv[(k + i) * hidden + c0 + j];
+          for (std::size_t r = r0; r < r1; ++r) {
+            const float* xr = &xv[r * feat + k];
+            const float* dyr = &dyv[r * hidden + c0];
+            for (std::size_t i = 0; i < kKTile; ++i) {
+              const float xi = xr[i];
+              for (std::size_t j = 0; j < kCols; ++j)
+                acc[i][j] += xi * dyr[j];
+            }
+          }
+          for (std::size_t i = 0; i < kKTile; ++i)
+            for (std::size_t j = 0; j < kCols; ++j)
+              dwv[(k + i) * hidden + c0 + j] = acc[i][j];
+        }
+        for (; c0 < hidden; ++c0)
+          for (std::size_t i = 0; i < kKTile; ++i) scalar(k + i, c0, r0, r1);
       }
+      for (; k < k_hi; ++k)
+        for (std::size_t c = 0; c < hidden; ++c) scalar(k, c, r0, r1);
     }
   });
 }
@@ -176,16 +235,12 @@ gpusim::BufferId apply_dense(Device& dev, BufferId x, BufferId w, BufferId b,
                  [&](BlockCtx& ctx) {
     const std::uint32_t r = static_cast<std::uint32_t>(ctx.block_id());
     ctx.load(x, r, feat * sizeof(float));
-    const float* xr = &xv[static_cast<std::size_t>(r) * feat];
-    float* orow = &ov[static_cast<std::size_t>(r) * hidden];
     // Weight-matrix rows stream through the SM cache; blocks sharing an SM
     // reuse them.
-    for (std::size_t k = 0; k < feat; ++k) {
-      ctx.load(w, static_cast<std::uint32_t>(k), hb);
-      const float xk = xr[k];
-      const float* wrow = &wv[k * hidden];
-      for (std::size_t c = 0; c < hidden; ++c) orow[c] += xk * wrow[c];
-    }
+    ctx.load_rows(w, 0, static_cast<std::uint32_t>(feat), hb);
+    float* orow = &ov[static_cast<std::size_t>(r) * hidden];
+    row_times_matrix(&xv[static_cast<std::size_t>(r) * feat], wv.data(), orow,
+                     feat, hidden);
     ctx.load(b, 0, hb);
     for (std::size_t c = 0; c < hidden; ++c) {
       orow[c] += bv[c];
@@ -249,8 +304,8 @@ DenseGrads apply_dense_backward(Device& dev, BufferId x, BufferId w,
       ctx.load(dz, r, hb);
       const float* dzr = &dzv[static_cast<std::size_t>(r) * hidden];
       float* dxr = &dxv[static_cast<std::size_t>(r) * feat];
+      ctx.load_rows(w, 0, static_cast<std::uint32_t>(feat), hb);
       for (std::size_t k = 0; k < feat; ++k) {
-        ctx.load(w, static_cast<std::uint32_t>(k), hb);
         const float* wrow = &wv[k * hidden];
         float acc = 0.0f;
         for (std::size_t c = 0; c < hidden; ++c) acc += dzr[c] * wrow[c];
@@ -294,14 +349,9 @@ gpusim::BufferId apply_matmul(Device& dev, BufferId x, BufferId w) {
                  [&](BlockCtx& ctx) {
     const std::uint32_t r = static_cast<std::uint32_t>(ctx.block_id());
     ctx.load(x, r, feat * sizeof(float));
-    const float* xr = &xv[static_cast<std::size_t>(r) * feat];
-    float* orow = &ov[static_cast<std::size_t>(r) * hidden];
-    for (std::size_t k = 0; k < feat; ++k) {
-      ctx.load(w, static_cast<std::uint32_t>(k), hb);
-      const float xk = xr[k];
-      const float* wrow = &wv[k * hidden];
-      for (std::size_t c = 0; c < hidden; ++c) orow[c] += xk * wrow[c];
-    }
+    ctx.load_rows(w, 0, static_cast<std::uint32_t>(feat), hb);
+    row_times_matrix(&xv[static_cast<std::size_t>(r) * feat], wv.data(),
+                     &ov[static_cast<std::size_t>(r) * hidden], feat, hidden);
     ctx.flops(2ull * feat * hidden);
     ctx.store(out, r, hb);
   }, BlockSafety::kParallel);
@@ -331,8 +381,8 @@ MatmulGrads apply_matmul_backward(Device& dev, BufferId x, BufferId w,
       ctx.load(dy, r, hb);
       const float* dyr = &dyv[static_cast<std::size_t>(r) * hidden];
       float* dxr = &dxv[static_cast<std::size_t>(r) * feat];
+      ctx.load_rows(w, 0, static_cast<std::uint32_t>(feat), hb);
       for (std::size_t k = 0; k < feat; ++k) {
-        ctx.load(w, static_cast<std::uint32_t>(k), hb);
         const float* wrow = &wv[k * hidden];
         float acc = 0.0f;
         for (std::size_t c = 0; c < hidden; ++c) acc += dyr[c] * wrow[c];

@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <iterator>
 #include <list>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "util/rng.hpp"
 
@@ -110,6 +112,8 @@ class ReferenceLru {
     map_.clear();
     resident_bytes = loaded_bytes = hit_bytes = 0;
   }
+
+  bool resident(const CacheKey& key) const { return map_.contains(key); }
 
   std::size_t loaded_bytes = 0;
   std::size_t hit_bytes = 0;
@@ -259,6 +263,181 @@ TEST(SmCacheDifferential, EvictionsWorkThroughIndexGrowth) {
     ASSERT_TRUE(same_access(cache, ref, {1, row++, 0}, 100));
   for (std::uint32_t z = 0; z < 5000; ++z)
     ASSERT_TRUE(same_access(cache, ref, {0, z, 0}, 0)) << "zero line " << z;
+}
+
+// ---- Run access -------------------------------------------------------------
+// access_run(buffer, first, n, bytes) is defined as n access() calls on rows
+// first .. first+n-1 (chunk 0), so the oracle expands every run into exactly
+// those accesses.
+
+::testing::AssertionResult same_run(SmCache& cache, ReferenceLru& ref,
+                                    std::uint32_t buffer, std::uint32_t first,
+                                    std::uint32_t n, std::size_t bytes) {
+  cache.access_run(buffer, first, n, bytes);
+  for (std::uint32_t k = 0; k < n; ++k)
+    ref.access({buffer, first + k, 0}, bytes);
+  if (cache.loaded_bytes() == ref.loaded_bytes &&
+      cache.hit_bytes() == ref.hit_bytes &&
+      cache.resident_bytes() == ref.resident_bytes)
+    return ::testing::AssertionSuccess();
+  return ::testing::AssertionFailure()
+         << "run (" << buffer << "," << first << "," << n << ") bytes "
+         << bytes << ": loaded " << cache.loaded_bytes() << " vs "
+         << ref.loaded_bytes << ", hit_bytes " << cache.hit_bytes() << " vs "
+         << ref.hit_bytes << ", resident " << cache.resident_bytes() << " vs "
+         << ref.resident_bytes;
+}
+
+/// Pins the whole recency order of `keys`: evicts with fresh `line`-byte
+/// misses one at a time and, after each, requires the same keys resident
+/// in both caches. Residency is probed on a copy, so probing moves nothing.
+::testing::AssertionResult same_eviction_order(
+    SmCache& cache, ReferenceLru& ref, const std::vector<CacheKey>& keys,
+    std::size_t line, std::size_t misses) {
+  for (std::uint32_t i = 0; i < misses; ++i) {
+    if (auto r = same_access(cache, ref, {99, i, 0}, line); !r) return r;
+    for (const CacheKey& key : keys) {
+      SmCache probe = cache;
+      if (probe.access(key, 0) != ref.resident(key))
+        return ::testing::AssertionFailure()
+               << "after fresh miss " << i << ": row " << key.row
+               << " of buffer " << key.buffer << " resident "
+               << !ref.resident(key) << " vs " << ref.resident(key);
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+std::vector<CacheKey> run_keys(std::uint32_t buffer, std::uint32_t first,
+                               std::uint32_t n) {
+  std::vector<CacheKey> keys;
+  for (std::uint32_t k = 0; k < n; ++k) keys.push_back({buffer, first + k, 0});
+  return keys;
+}
+
+TEST(SmCacheRun, EqualsItsAccessesOnAColdAndAWarmCache) {
+  SmCache cache(1024);
+  ReferenceLru ref(1024);
+  ASSERT_TRUE(same_run(cache, ref, 1, 0, 8, 32));  // cold: 8 misses
+  EXPECT_EQ(cache.loaded_bytes(), 8u * 32);
+  ASSERT_TRUE(same_access(cache, ref, {2, 0, 0}, 64));
+  ASSERT_TRUE(same_run(cache, ref, 1, 0, 8, 32));  // establishes the memo
+  ASSERT_TRUE(same_access(cache, ref, {2, 1, 0}, 64));
+  ASSERT_TRUE(same_run(cache, ref, 1, 0, 8, 32));  // memo hit
+  EXPECT_EQ(cache.hit_bytes(), 16u * 32);
+  ASSERT_TRUE(same_run(cache, ref, 1, 3, 0, 32));  // empty run: no-op
+  ASSERT_TRUE(same_run(cache, ref, 1, 3, 1, 32));
+  ASSERT_TRUE(same_run(cache, ref, 1, 0, 8, 32));
+  EXPECT_TRUE(same_eviction_order(cache, ref, run_keys(1, 0, 8), 64, 16));
+}
+
+// A hit on a member other than the head breaks the segment: the next run
+// must not splice the stale [hi, lo] chain, which no longer holds row 2.
+TEST(SmCacheRun, MemberHitDropsTheMemo) {
+  SmCache cache(12 * 32);
+  ReferenceLru ref(12 * 32);
+  ASSERT_TRUE(same_access(cache, ref, {2, 0, 0}, 32));
+  ASSERT_TRUE(same_run(cache, ref, 1, 0, 6, 32));
+  ASSERT_TRUE(same_run(cache, ref, 1, 0, 6, 32));  // memo set
+  ASSERT_TRUE(same_access(cache, ref, {1, 2, 0}, 32));  // member hit
+  ASSERT_TRUE(same_run(cache, ref, 1, 0, 6, 32));
+  ASSERT_TRUE(same_run(cache, ref, 1, 0, 6, 32));
+  std::vector<CacheKey> keys = run_keys(1, 0, 6);
+  keys.push_back({2, 0, 0});
+  EXPECT_TRUE(same_eviction_order(cache, ref, keys, 32, 12));
+}
+
+// Evicting the run's tail-ward row frees its slab line for reuse: the
+// next run must miss on it rather than splice through the recycled line.
+TEST(SmCacheRun, MemberEvictionDropsTheMemo) {
+  SmCache cache(8 * 32);
+  ReferenceLru ref(8 * 32);
+  ASSERT_TRUE(same_run(cache, ref, 1, 0, 6, 32));
+  ASSERT_TRUE(same_run(cache, ref, 1, 0, 6, 32));  // memo set
+  for (std::uint32_t i = 0; i < 3; ++i)  // the third evicts row 0
+    ASSERT_TRUE(same_access(cache, ref, {2, i, 0}, 32));
+  ASSERT_FALSE(ref.resident({1, 0, 0}));
+  ASSERT_TRUE(same_run(cache, ref, 1, 0, 6, 32));
+  ASSERT_TRUE(same_run(cache, ref, 1, 0, 6, 32));
+  EXPECT_TRUE(same_eviction_order(cache, ref, run_keys(1, 0, 6), 32, 8));
+}
+
+// clear() recycles every slab line; the lines the memo named now hold
+// other keys, which must be loaded as misses, not spliced as hits.
+TEST(SmCacheRun, ClearDropsTheMemo) {
+  SmCache cache(16 * 32);
+  ReferenceLru ref(16 * 32);
+  ASSERT_TRUE(same_run(cache, ref, 1, 0, 6, 32));
+  ASSERT_TRUE(same_run(cache, ref, 1, 0, 6, 32));  // memo set
+  cache.clear();
+  ref.clear();
+  for (std::uint32_t i = 0; i < 6; ++i)  // reuse slab lines 0..5
+    ASSERT_TRUE(same_access(cache, ref, {2, i, 0}, 32));
+  ASSERT_TRUE(same_run(cache, ref, 1, 0, 6, 32));
+  EXPECT_EQ(cache.hit_bytes(), 0u);
+  ASSERT_TRUE(same_run(cache, ref, 1, 0, 6, 32));
+  EXPECT_TRUE(same_eviction_order(cache, ref, run_keys(1, 0, 6), 32, 16));
+}
+
+struct RunStreamSpec {
+  const char* name;
+  std::size_t capacity;     // bytes
+  std::size_t clear_every;  // 0 = never
+};
+
+TEST(SmCacheRunDifferential, MatchesReferenceLruOnMixedStreams) {
+  // Repeated and overlapping runs over two buffers, including empty and
+  // one-row runs; a weight-row-sized 32 B line is the common case.
+  struct RunShape {
+    std::uint32_t buffer, first, n;
+  };
+  const RunShape menu[] = {{1, 0, 64}, {1, 0, 64}, {1, 0, 32}, {1, 16, 48},
+                           {2, 0, 64}, {1, 0, 1},  {1, 5, 0},  {2, 3, 17}};
+  const RunStreamSpec specs[] = {
+      {"runs-fit", 64 * 1024, 0},
+      {"run-larger-than-cache", 40 * 32, 0},  // members evict each other
+      {"clear-every-500", 16 * 1024, 500},
+      {"tiny", 256, 0},
+      {"zero-capacity", 0, 3000},
+  };
+  for (const RunStreamSpec& spec : specs) {
+    SCOPED_TRACE(spec.name);
+    Xoshiro256 rng(4242);
+    SmCache cache(spec.capacity);
+    ReferenceLru ref(spec.capacity);
+    std::size_t whole_hit_runs = 0;
+    for (std::size_t i = 0; i < 40000; ++i) {
+      if (spec.clear_every != 0 && i % spec.clear_every == 0) {
+        cache.clear();
+        ref.clear();
+      }
+      const std::uint64_t op = rng.uniform(10);
+      if (op < 5) {
+        RunShape run = menu[rng.uniform(std::size(menu))];
+        if (op == 0)
+          run = {static_cast<std::uint32_t>(rng.uniform(3)),
+                 static_cast<std::uint32_t>(rng.uniform(100)),
+                 static_cast<std::uint32_t>(rng.uniform(80))};
+        const std::size_t bytes =
+            rng.uniform(6) == 0 ? draw_bytes(rng, spec.capacity) : 32;
+        const std::size_t hit_before = ref.hit_bytes;
+        ASSERT_TRUE(same_run(cache, ref, run.buffer, run.first, run.n, bytes))
+            << "op " << i;
+        if (run.n > 1 && bytes > 0 &&
+            ref.hit_bytes - hit_before == run.n * bytes)
+          ++whole_hit_runs;
+      } else {
+        const CacheKey key{static_cast<std::uint32_t>(rng.uniform(3)),
+                           static_cast<std::uint32_t>(rng.uniform(128)),
+                           static_cast<std::uint32_t>(rng.uniform(2))};
+        ASSERT_TRUE(
+            same_access(cache, ref, key, draw_bytes(rng, spec.capacity)))
+            << "op " << i;
+      }
+    }
+    // Runs that hit throughout are the ones the memo can serve.
+    EXPECT_GT(whole_hit_runs, 100u);
+  }
 }
 
 }  // namespace
