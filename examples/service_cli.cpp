@@ -5,25 +5,30 @@
 //   $ ./examples/service_cli [dataset] [model] [framework] [batches]
 //   $ ./examples/service_cli wiki-talk NGCF Prepro-GT 12
 //
+// Every flag below is one row of the flag table in main() and takes
+// --flag=V or --flag V. An unknown flag, a malformed or out-of-range
+// value, or a flag whose partner is missing exits 2 with a diagnostic
+// naming the flag, before anything is printed (DESIGN.md §17).
+//
 // Concurrent serving:
-//   --workers=N  (or --workers N) drains the batch queue with N worker
-//                contexts: preprocessing of up to N batches overlaps on a
-//                thread pool while training executes strictly in batch
-//                order. Reports are bit-identical to --workers=1.
+//   --workers=N  drains the batch queue with N worker contexts (1..1024):
+//                preprocessing of up to N batches overlaps on a thread
+//                pool while training executes strictly in batch order.
+//                Reports are bit-identical to --workers=1.
 //   --compute-threads=N (GT_COMPUTE_THREADS) host threads for the compute
-//                engine: simulated-device kernels run their per-SM block
-//                sequences on N pool workers and the dense tensor ops
+//                engine (1..64): simulated-device kernels run their per-SM
+//                block sequences on N pool workers and the dense tensor ops
 //                parallelize over row tiles. Reports (simulated times,
 //                losses, gradients) are bit-identical for every N — only
 //                host wall-clock changes.
 //   --batches=M  explicit batch count (wins over the positional form).
 //
 // Modeled multi-device execution (DESIGN.md §14):
-//   --devices=N  decompose each batch across N simulated devices behind a
-//                modeled ring interconnect. Trained parameters and losses
-//                stay bit-identical to --devices=1; the timeline becomes a
-//                per-device makespan merge and the report gains comm.*
-//                collective costs. Requires a GraphTensor backend.
+//   --devices=N  decompose each batch across N (1..1024) simulated devices
+//                behind a modeled ring interconnect. Trained parameters and
+//                losses stay bit-identical to --devices=1; the timeline
+//                becomes a per-device makespan merge and the report gains
+//                comm.* collective costs. Requires a GraphTensor backend.
 //   --shard=S    decomposition strategy: "range" (destination-vertex range
 //                sharding with halo all-gathers) or "tp" (NeutronTP-style
 //                tensor parallelism over the feature dimension, one
@@ -32,7 +37,8 @@
 //
 // Embedding cache hierarchy (DESIGN.md §15):
 //   --cache-budget=B   device bytes for the embedding cache (suffixes
-//                K/M/G, e.g. --cache-budget=8M). 0 (default) = no cache.
+//                K/M/G, e.g. --cache-budget=8M; a finite count below
+//                2^64). 0 (default) = no cache.
 //                Re-prices the K/T preprocessing stages only: trained
 //                parameters and losses are bit-identical to a cache-off
 //                run for every policy. Requires a GraphTensor backend.
@@ -53,15 +59,18 @@
 //                the same worker-context ring. Prints the outcome table
 //                plus p50/p95/p99 request latency, goodput, and shed rate.
 //   --arrival=A  poisson (default) | bursty | diurnal arrival process.
-//   --rate=R     mean arrival rate in requests per virtual second (>0).
+//   --rate=R     mean arrival rate in requests per virtual second (finite,
+//                > 0).
 //   --slo-ticks=T  deadline in virtual ticks (1 tick = 1 simulated us);
 //                0 (default) disables shedding.
-//   --queue-depth=N  bounded request-queue capacity (default 64).
-//   --requests=N     arrivals to generate (default 64).
-//   --max-batch=N    requests coalesced per serving batch (default 8).
+//   --queue-depth=N  bounded request-queue capacity (>= 1, default 64).
+//   --requests=N     arrivals to generate (>= 1, default 64).
+//   --max-batch=N    requests coalesced per serving batch (>= 1,
+//                default 8).
 //   --max-wait-ticks=T  oldest-request wait that forces a batch closed
 //                (default 2000).
-//   --verts-per-request=N  dst vertices each request asks for (default 32).
+//   --verts-per-request=N  dst vertices each request asks for (1..65535,
+//                default 32).
 //   All serving flags require --serve; the replayed decision stream is
 //   bit-identical across --workers values, including under --fault-spec.
 //
@@ -109,16 +118,20 @@
 //                              service.degraded together), per-worker
 //                              stage profiler, crash-safe flush.
 //   --telemetry-interval=N     (GT_TELEMETRY_INTERVAL) batches between
-//                              snapshots (default 1).
+//                              snapshots (>= 1, default 1).
 //   --watchdog-stall-ms=M      (GT_TELEMETRY_WATCHDOG_MS) declare a stall
 //                              after M ms without batch progress
 //                              (watchdog.stall/.recovered events; 0 = off).
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/graphtensor.hpp"
@@ -126,10 +139,18 @@
 #include "sampling/cache_hierarchy.hpp"
 #include "obs/report.hpp"
 #include "obs/trace.hpp"
+#include "util/parallel.hpp"
+#include "util/parse.hpp"
 #include "util/stats.hpp"
 #include "util/table.hpp"
 
 namespace {
+
+/// Ceiling for --workers and --devices: each one costs a thread or a
+/// simulated device, so a typo'd count must not exhaust the host.
+constexpr std::uint64_t kMaxFanOut = 1024;
+/// Batch counts stay within int: the bench report records them as one.
+constexpr std::uint64_t kMaxBatches = 2147483647;
 
 gt::models::GnnModelConfig model_by_name(const std::string& name,
                                          const gt::DatasetSpec& spec) {
@@ -153,306 +174,136 @@ std::string out_path(const std::string& flag_value, const char* env_name) {
   return {};
 }
 
-/// Parse a byte count with an optional K/M/G suffix ("8M", "512k", "1G").
-/// Returns false on anything else (including negatives).
-bool parse_byte_size(const std::string& text, std::size_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  const double value = std::strtod(text.c_str(), &end);
-  if (end == text.c_str() || value < 0.0) return false;
-  double scale = 1.0;
-  if (*end != '\0') {
-    switch (*end) {
-      case 'k': case 'K': scale = 1024.0; break;
-      case 'm': case 'M': scale = 1024.0 * 1024.0; break;
-      case 'g': case 'G': scale = 1024.0 * 1024.0 * 1024.0; break;
-      default: return false;
-    }
-    ++end;
-    if (*end == 'B' || *end == 'b') ++end;
-    if (*end != '\0') return false;
-  }
-  *out = static_cast<std::size_t>(value * scale);
+/// Parse a byte count with an optional K/M/G suffix, itself optionally
+/// followed by B ("8M", "512k", "1GB"). False on anything else, and on a
+/// count that does not fit in size_t.
+bool parse_byte_size(std::string_view text, std::size_t* out) {
+  constexpr std::string_view kUnits = "kKmMgG";  // 1024^(index / 2 + 1)
+  const bool b_suffix = text.ends_with('B') || text.ends_with('b');
+  if (b_suffix) text.remove_suffix(1);
+  const std::size_t unit =
+      text.empty() ? std::string_view::npos : kUnits.find(text.back());
+  if (unit != std::string_view::npos) text.remove_suffix(1);
+  else if (b_suffix) return false;  // "8B" has no unit for the B to follow
+  const double scale =
+      unit == std::string_view::npos ? 1.0 : std::pow(1024.0, unit / 2 + 1);
+  const std::optional<double> value = gt::parse_real(text, 0.0);
+  if (!value || *value * scale >= 0x1p64) return false;  // 2^64: size_t max+1
+  *out = static_cast<std::size_t>(*value * scale);
   return true;
+}
+
+int fail(const std::string& message) {
+  std::fprintf(stderr, "%s\n", message.c_str());
+  return 2;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  std::string trace_flag, metrics_flag, bench_flag, ledger_flag;
-  std::string fault_spec;  // empty = GT_FAULT_SPEC / no faults
-  std::string telemetry_flag;  // empty = GT_TELEMETRY_OUT / telemetry off
-  std::vector<std::string> positional;
-  int workers = 1;
-  int devices = 1;
-  std::string shard_flag;  // empty = flag absent; validated below
-  std::string cache_budget_flag;  // empty = cache off
-  std::string cache_policy_flag;  // empty = static (validated below)
-  bool cache_prefetch = false;
-  int compute_threads = 0;  // 0 = GT_COMPUTE_THREADS / hardware default
-  int batches_flag = -1;
-  int max_retries = -1;  // -1 = ServiceOptions default
-  int telemetry_interval = -1;   // -1 = GT_TELEMETRY_INTERVAL / default 1
-  long watchdog_stall_ms = -1;   // -1 = GT_TELEMETRY_WATCHDOG_MS / off
-  bool serve_mode = false;
-  std::string arrival_flag;      // empty = poisson
-  std::string rate_flag;         // empty = ArrivalConfig default
-  long slo_ticks = -1;           // -1 = flag absent (no shedding)
-  long queue_depth = -1;         // -1 = flag absent (default 64)
-  long serve_requests = -1;      // -1 = flag absent (default 64)
-  long max_batch = -1;           // -1 = flag absent (default 8)
-  long max_wait_ticks = -1;      // -1 = flag absent (default 2000)
-  long verts_per_request = -1;   // -1 = flag absent (default 32)
-  // Serving flags seen on the command line, for the --serve requirement
-  // check: any of them without --serve is a typo'd invocation.
-  std::vector<std::string> serving_flags_seen;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--trace-out=", 0) == 0) {
-      trace_flag = arg.substr(12);
-    } else if (arg.rfind("--metrics-out=", 0) == 0) {
-      metrics_flag = arg.substr(14);
-    } else if (arg.rfind("--bench-out=", 0) == 0) {
-      bench_flag = arg.substr(12);
-    } else if (arg.rfind("--kernel-ledger-out=", 0) == 0) {
-      ledger_flag = arg.substr(20);
-    } else if (arg == "--kernel-ledger-out" && i + 1 < argc) {
-      ledger_flag = argv[++i];
-    } else if (arg.rfind("--workers=", 0) == 0) {
-      workers = std::atoi(arg.c_str() + 10);
-    } else if (arg == "--workers" && i + 1 < argc) {
-      workers = std::atoi(argv[++i]);
-    } else if (arg.rfind("--devices=", 0) == 0) {
-      devices = std::atoi(arg.c_str() + 10);
-    } else if (arg == "--devices" && i + 1 < argc) {
-      devices = std::atoi(argv[++i]);
-    } else if (arg.rfind("--shard=", 0) == 0) {
-      shard_flag = arg.substr(8);
-    } else if (arg == "--shard" && i + 1 < argc) {
-      shard_flag = argv[++i];
-    } else if (arg.rfind("--cache-budget=", 0) == 0) {
-      cache_budget_flag = arg.substr(15);
-    } else if (arg == "--cache-budget" && i + 1 < argc) {
-      cache_budget_flag = argv[++i];
-    } else if (arg.rfind("--cache-policy=", 0) == 0) {
-      cache_policy_flag = arg.substr(15);
-    } else if (arg == "--cache-policy" && i + 1 < argc) {
-      cache_policy_flag = argv[++i];
-    } else if (arg == "--prefetch") {
-      cache_prefetch = true;
-    } else if (arg.rfind("--compute-threads=", 0) == 0) {
-      compute_threads = std::atoi(arg.c_str() + 18);
-    } else if (arg == "--compute-threads" && i + 1 < argc) {
-      compute_threads = std::atoi(argv[++i]);
-    } else if (arg.rfind("--batches=", 0) == 0) {
-      batches_flag = std::atoi(arg.c_str() + 10);
-    } else if (arg == "--batches" && i + 1 < argc) {
-      batches_flag = std::atoi(argv[++i]);
-    } else if (arg.rfind("--fault-spec=", 0) == 0) {
-      fault_spec = arg.substr(13);
-    } else if (arg == "--fault-spec" && i + 1 < argc) {
-      fault_spec = argv[++i];
-    } else if (arg.rfind("--max-retries=", 0) == 0) {
-      max_retries = std::atoi(arg.c_str() + 14);
-    } else if (arg == "--max-retries" && i + 1 < argc) {
-      max_retries = std::atoi(argv[++i]);
-    } else if (arg.rfind("--telemetry-out=", 0) == 0) {
-      telemetry_flag = arg.substr(16);
-    } else if (arg == "--telemetry-out" && i + 1 < argc) {
-      telemetry_flag = argv[++i];
-    } else if (arg.rfind("--telemetry-interval=", 0) == 0) {
-      telemetry_interval = std::atoi(arg.c_str() + 21);
-    } else if (arg == "--telemetry-interval" && i + 1 < argc) {
-      telemetry_interval = std::atoi(argv[++i]);
-    } else if (arg.rfind("--watchdog-stall-ms=", 0) == 0) {
-      watchdog_stall_ms = std::atol(arg.c_str() + 20);
-    } else if (arg == "--watchdog-stall-ms" && i + 1 < argc) {
-      watchdog_stall_ms = std::atol(argv[++i]);
-    } else if (arg == "--serve") {
-      serve_mode = true;
-    } else if (arg.rfind("--arrival=", 0) == 0) {
-      arrival_flag = arg.substr(10);
-      serving_flags_seen.push_back("--arrival");
-    } else if (arg == "--arrival" && i + 1 < argc) {
-      arrival_flag = argv[++i];
-      serving_flags_seen.push_back("--arrival");
-    } else if (arg.rfind("--rate=", 0) == 0) {
-      rate_flag = arg.substr(7);
-      serving_flags_seen.push_back("--rate");
-    } else if (arg == "--rate" && i + 1 < argc) {
-      rate_flag = argv[++i];
-      serving_flags_seen.push_back("--rate");
-    } else if (arg.rfind("--slo-ticks=", 0) == 0) {
-      slo_ticks = std::atol(arg.c_str() + 12);
-      serving_flags_seen.push_back("--slo-ticks");
-    } else if (arg == "--slo-ticks" && i + 1 < argc) {
-      slo_ticks = std::atol(argv[++i]);
-      serving_flags_seen.push_back("--slo-ticks");
-    } else if (arg.rfind("--queue-depth=", 0) == 0) {
-      queue_depth = std::atol(arg.c_str() + 14);
-      serving_flags_seen.push_back("--queue-depth");
-    } else if (arg == "--queue-depth" && i + 1 < argc) {
-      queue_depth = std::atol(argv[++i]);
-      serving_flags_seen.push_back("--queue-depth");
-    } else if (arg.rfind("--requests=", 0) == 0) {
-      serve_requests = std::atol(arg.c_str() + 11);
-      serving_flags_seen.push_back("--requests");
-    } else if (arg == "--requests" && i + 1 < argc) {
-      serve_requests = std::atol(argv[++i]);
-      serving_flags_seen.push_back("--requests");
-    } else if (arg.rfind("--max-batch=", 0) == 0) {
-      max_batch = std::atol(arg.c_str() + 12);
-      serving_flags_seen.push_back("--max-batch");
-    } else if (arg == "--max-batch" && i + 1 < argc) {
-      max_batch = std::atol(argv[++i]);
-      serving_flags_seen.push_back("--max-batch");
-    } else if (arg.rfind("--max-wait-ticks=", 0) == 0) {
-      max_wait_ticks = std::atol(arg.c_str() + 17);
-      serving_flags_seen.push_back("--max-wait-ticks");
-    } else if (arg == "--max-wait-ticks" && i + 1 < argc) {
-      max_wait_ticks = std::atol(argv[++i]);
-      serving_flags_seen.push_back("--max-wait-ticks");
-    } else if (arg.rfind("--verts-per-request=", 0) == 0) {
-      verts_per_request = std::atol(arg.c_str() + 20);
-      serving_flags_seen.push_back("--verts-per-request");
-    } else if (arg == "--verts-per-request" && i + 1 < argc) {
-      verts_per_request = std::atol(argv[++i]);
-      serving_flags_seen.push_back("--verts-per-request");
-    } else {
-      positional.push_back(arg);
-    }
-  }
-  if (workers < 1) workers = 1;
-  // Contradictory-flag validation, before any expensive setup: a --shard
-  // with nothing to shard across is almost certainly a typo'd invocation,
-  // so fail loudly instead of silently training single-device.
-  if (devices < 1) {
-    std::fprintf(stderr, "--devices=%d: device count must be >= 1\n",
-                 devices);
-    return 2;
-  }
-  if (!shard_flag.empty() && devices <= 1) {
-    std::fprintf(stderr,
-                 "--shard=%s requires --devices > 1 (sharding a single "
-                 "device is a no-op; pass --devices=N to enable it)\n",
-                 shard_flag.c_str());
-    return 2;
-  }
-  gt::frameworks::ShardStrategy shard = gt::frameworks::ShardStrategy::kNone;
-  if (!shard_flag.empty()) {
-    try {
-      shard = gt::frameworks::parse_shard_strategy(shard_flag);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "--shard=%s: %s\n", shard_flag.c_str(), e.what());
-      return 2;
-    }
-  }
-  std::size_t cache_budget = 0;
-  if (!cache_budget_flag.empty() &&
-      !parse_byte_size(cache_budget_flag, &cache_budget)) {
-    std::fprintf(stderr,
-                 "--cache-budget=%s: expected a byte count with an optional "
-                 "K/M/G suffix (e.g. --cache-budget=8M)\n",
-                 cache_budget_flag.c_str());
-    return 2;
-  }
-  // Same typo-protection as --shard: a policy or prefetch request with no
-  // byte budget would silently train uncached, so reject it up front.
-  if ((!cache_policy_flag.empty() || cache_prefetch) && cache_budget == 0) {
-    std::fprintf(stderr,
-                 "%s requires a positive --cache-budget (the embedding "
-                 "cache is off without a byte budget)\n",
-                 !cache_policy_flag.empty() ? "--cache-policy" : "--prefetch");
-    return 2;
-  }
-  gt::sampling::CachePolicy cache_policy = gt::sampling::CachePolicy::kStatic;
-  if (!cache_policy_flag.empty()) {
-    try {
-      cache_policy = gt::sampling::parse_cache_policy(cache_policy_flag);
-    } catch (const std::invalid_argument& e) {
-      std::fprintf(stderr, "--cache-policy=%s: %s\n",
-                   cache_policy_flag.c_str(), e.what());
-      return 2;
-    }
-  }
-  // Serving-flag validation, all fail-fast before any dataset generation.
-  if (!serve_mode && !serving_flags_seen.empty()) {
-    std::fprintf(stderr,
-                 "%s requires --serve (online serving flags do nothing in "
-                 "training mode)\n",
-                 serving_flags_seen.front().c_str());
-    return 2;
-  }
+  gt::ServiceOptions options;
+  // Flags override the GT_TELEMETRY_* environment (same precedence as the
+  // other observability outputs).
+  options.telemetry = gt::obs::live::TelemetryOptions::from_env();
   gt::serving::ServeConfig serve_config;
-  if (serve_mode) {
-    if (!arrival_flag.empty()) {
-      try {
-        serve_config.arrival.kind =
-            gt::serving::parse_arrival_kind(arrival_flag);
-      } catch (const std::invalid_argument& e) {
-        std::fprintf(stderr, "--arrival=%s: %s\n", arrival_flag.c_str(),
-                     e.what());
-        return 2;
-      }
-    }
-    if (!rate_flag.empty()) {
-      char* end = nullptr;
-      const double rate = std::strtod(rate_flag.c_str(), &end);
-      if (end == rate_flag.c_str() || *end != '\0' || rate <= 0.0) {
-        std::fprintf(stderr,
-                     "--rate=%s: expected a positive arrival rate in "
-                     "requests per virtual second\n",
-                     rate_flag.c_str());
-        return 2;
-      }
-      serve_config.arrival.rate_rps = rate;
-    }
-    if (slo_ticks < -1) {
-      std::fprintf(stderr, "--slo-ticks=%ld: must be >= 0\n", slo_ticks);
-      return 2;
-    }
-    if (slo_ticks > 0)
-      serve_config.slo_ticks = static_cast<gt::serving::Tick>(slo_ticks);
-    if (queue_depth == 0 || queue_depth < -1) {
-      std::fprintf(stderr, "--queue-depth=%ld: capacity must be >= 1\n",
-                   queue_depth);
-      return 2;
-    }
-    if (queue_depth > 0)
-      serve_config.queue_depth = static_cast<std::size_t>(queue_depth);
-    if (serve_requests == 0 || serve_requests < -1) {
-      std::fprintf(stderr, "--requests=%ld: must be >= 1\n", serve_requests);
-      return 2;
-    }
-    if (serve_requests > 0)
-      serve_config.requests = static_cast<std::size_t>(serve_requests);
-    if (max_batch == 0 || max_batch < -1) {
-      std::fprintf(stderr, "--max-batch=%ld: must be >= 1\n", max_batch);
-      return 2;
-    }
-    if (max_batch > 0)
-      serve_config.batch.max_batch_requests =
-          static_cast<std::size_t>(max_batch);
-    if (max_wait_ticks < -1) {
-      std::fprintf(stderr, "--max-wait-ticks=%ld: must be >= 0\n",
-                   max_wait_ticks);
-      return 2;
-    }
-    if (max_wait_ticks >= 0)
-      serve_config.batch.max_wait_ticks =
-          static_cast<gt::serving::Tick>(max_wait_ticks);
-    if (verts_per_request == 0 || verts_per_request < -1 ||
-        verts_per_request > 0xffff) {
-      std::fprintf(stderr,
-                   "--verts-per-request=%ld: must be in [1, 65535]\n",
-                   verts_per_request);
-      return 2;
-    }
-    if (verts_per_request > 0)
-      serve_config.vertices_per_request =
-          static_cast<std::uint32_t>(verts_per_request);
-    serve_config.arrival.seed = 42;  // matches the dataset seed below
+  std::string trace_flag, metrics_flag, bench_flag;
+  std::string telemetry_flag;  // empty = GT_TELEMETRY_OUT / telemetry off
+  std::size_t batches = 8;
+  bool serve_mode = false;
+  const gt::Flag flags[] = {
+      {"--trace-out", gt::into(&trace_flag), "a file path"},
+      {"--metrics-out", gt::into(&metrics_flag), "a file path"},
+      {"--bench-out", gt::into(&bench_flag), "a file path"},
+      // The service falls back to GT_KERNEL_LEDGER_OUT and GT_FAULT_SPEC
+      // itself when these two are empty.
+      {"--kernel-ledger-out", gt::into(&options.kernel_ledger_out),
+       "a file path"},
+      {"--fault-spec", gt::into(&options.fault_spec), "a fault schedule"},
+      {"--workers", gt::into(&options.workers, 1, kMaxFanOut),
+       "a worker count in [1, 1024]"},
+      {"--devices", gt::into(&options.devices, 1, kMaxFanOut),
+       "a device count in [1, 1024]"},
+      {"--shard",
+       gt::into(&options.shard, gt::frameworks::parse_shard_strategy),
+       "range or tp"},
+      {"--cache-budget",
+       [&](std::string_view v) {
+         return parse_byte_size(v, &options.cache_budget_bytes);
+       },
+       "a byte count with an optional K/M/G suffix (e.g. --cache-budget=8M)"},
+      {"--cache-policy",
+       gt::into(&options.cache_policy, gt::sampling::parse_cache_policy),
+       "static|lru|lfu|tiered"},
+      {"--prefetch", &options.cache_prefetch},
+      {"--compute-threads",
+       gt::into(&options.compute_threads, 1, gt::kMaxComputeThreads),
+       "a thread count in [1, 64]"},
+      {"--batches", gt::into(&batches, 0, kMaxBatches),
+       "a batch count in [0, 2147483647]"},
+      {"--max-retries", gt::into(&options.max_retries),
+       "a retry count >= 0"},
+      {"--telemetry-out", gt::into(&telemetry_flag), "a directory"},
+      {"--telemetry-interval", gt::into(&options.telemetry.interval, 1),
+       "a batch count >= 1"},
+      {"--watchdog-stall-ms", gt::into(&options.telemetry.watchdog_stall_ms),
+       "milliseconds >= 0 (0 = off)"},
+      {"--serve", &serve_mode},
+      {"--arrival",
+       gt::into(&serve_config.arrival.kind, gt::serving::parse_arrival_kind),
+       "poisson|bursty|diurnal"},
+      {"--rate",
+       gt::into(&serve_config.arrival.rate_rps,
+                std::numeric_limits<double>::denorm_min()),
+       "a positive arrival rate in requests per virtual second"},
+      {"--slo-ticks", gt::into(&serve_config.slo_ticks),
+       "a tick count >= 0 (0 = no shedding)"},
+      {"--queue-depth", gt::into(&serve_config.queue_depth, 1),
+       "an integer >= 1 (queue capacity must be >= 1)"},
+      {"--requests", gt::into(&serve_config.requests, 1),
+       "a request count >= 1"},
+      {"--max-batch", gt::into(&serve_config.batch.max_batch_requests, 1),
+       "a request count >= 1"},
+      {"--max-wait-ticks", gt::into(&serve_config.batch.max_wait_ticks),
+       "a tick count >= 0"},
+      {"--verts-per-request",
+       gt::into(&serve_config.vertices_per_request, 1, 0xffff),
+       "a vertex count in [1, 65535]"},
+  };
+  const gt::ParsedFlags args =
+      gt::parse_flags(std::vector<std::string>(argv + 1, argv + argc), flags);
+  if (!args.ok()) return fail(args.error);
+  const std::vector<std::string>& positional = args.positionals;
+  if (positional.size() > 3 && !args.has("--batches")) {
+    const std::optional<std::uint64_t> n =
+        gt::parse_uint(positional[3], 0, kMaxBatches);
+    if (!n)
+      return fail("batches=" + positional[3] +
+                  ": expected a batch count in [0, 2147483647]");
+    batches = *n;
   }
+  // Cross-flag rules: a flag whose partner is missing would silently do
+  // nothing, which is almost certainly a typo'd invocation.
+  if (args.has("--shard") && options.devices <= 1)
+    return fail(std::string("--shard=") +
+                gt::frameworks::to_string(options.shard) +
+                " requires --devices > 1 (sharding a single device is a "
+                "no-op; pass --devices=N to enable it)");
+  if ((args.has("--cache-policy") || options.cache_prefetch) &&
+      options.cache_budget_bytes == 0)
+    return fail(std::string(args.has("--cache-policy") ? "--cache-policy"
+                                                       : "--prefetch") +
+                " requires a positive --cache-budget (the embedding cache "
+                "is off without a byte budget)");
+  if (!serve_mode)
+    for (const char* name :
+         {"--arrival", "--rate", "--slo-ticks", "--queue-depth", "--requests",
+          "--max-batch", "--max-wait-ticks", "--verts-per-request"})
+      if (args.has(name))
+        return fail(std::string(name) +
+                    " requires --serve (online serving flags do nothing in "
+                    "training mode)");
+  serve_config.arrival.seed = 42;  // matches the dataset seed below
+  if (!telemetry_flag.empty()) options.telemetry.out_dir = telemetry_flag;
   const std::string trace_out = out_path(trace_flag, "GT_TRACE_OUT");
   const std::string metrics_out = out_path(metrics_flag, "GT_METRICS_OUT");
   const std::string bench_out = out_path(bench_flag, "GT_BENCH_OUT");
@@ -462,45 +313,23 @@ int main(int argc, char** argv) {
       positional.size() > 1 ? positional[1] : "GCN";
   const std::string framework =
       positional.size() > 2 ? positional[2] : "Prepro-GT";
-  const int batches =
-      batches_flag >= 0
-          ? batches_flag
-          : (positional.size() > 3 ? std::atoi(positional[3].c_str()) : 8);
 
   // The bench report embeds trace-derived analysis, so it needs spans too.
   if (!trace_out.empty() || !bench_out.empty())
     gt::obs::Tracer::global().enable(true);
 
-  gt::Dataset data = gt::generate(dataset_name, 42);
-  gt::models::GnnModelConfig model = model_by_name(model_name, data.spec);
+  const gt::DatasetSpec* spec = nullptr;
+  try {
+    spec = &gt::find_spec(dataset_name);
+  } catch (const std::out_of_range& e) {
+    return fail(e.what());
+  }
+  // Both names are checked before the (expensive) dataset generation.
+  gt::models::GnnModelConfig model = model_by_name(model_name, *spec);
+  gt::Dataset data = gt::generate(*spec, 42);
 
-  gt::ServiceOptions options;
   options.framework = framework;
   options.learning_rate = 0.1f;
-  options.workers = static_cast<std::size_t>(workers);
-  options.devices = static_cast<std::size_t>(devices);
-  options.shard = shard;  // kNone defaults to range inside the service
-  options.cache_budget_bytes = cache_budget;
-  options.cache_policy = cache_policy;
-  options.cache_prefetch = cache_prefetch;
-  if (compute_threads > 0)
-    options.compute_threads = static_cast<std::size_t>(compute_threads);
-  options.fault_spec = fault_spec;  // empty falls back to GT_FAULT_SPEC
-  if (max_retries >= 0)
-    options.max_retries = static_cast<std::uint32_t>(max_retries);
-  // Flags override the GT_TELEMETRY_* environment (same precedence as the
-  // other observability outputs).
-  options.telemetry = gt::obs::live::TelemetryOptions::from_env();
-  if (!telemetry_flag.empty()) options.telemetry.out_dir = telemetry_flag;
-  if (telemetry_interval > 0)
-    options.telemetry.interval =
-        static_cast<std::uint64_t>(telemetry_interval);
-  if (watchdog_stall_ms >= 0)
-    options.telemetry.watchdog_stall_ms =
-        static_cast<std::uint64_t>(watchdog_stall_ms);
-  // The service arms the ledger itself and writes kernels.json when it is
-  // destroyed (flag wins over GT_KERNEL_LEDGER_OUT, like the other outs).
-  options.kernel_ledger_out = out_path(ledger_flag, "GT_KERNEL_LEDGER_OUT");
   std::unique_ptr<gt::GnnService> service_ptr;
   try {
     service_ptr = std::make_unique<gt::GnnService>(std::move(data), model,
@@ -510,18 +339,60 @@ int main(int argc, char** argv) {
     return 2;
   }
   gt::GnnService& service = *service_ptr;
+  gt::obs::BenchReporter& bench = gt::obs::BenchReporter::global();
+  const auto bench_row = [&](const char* metric, const char* unit,
+                             double measured) {
+    gt::obs::BenchRow row;
+    row.metric = metric;
+    row.dataset = dataset_name;
+    row.framework = framework;
+    row.unit = unit;
+    row.measured = measured;
+    bench.add_row(row);
+  };
+  // Both modes end alike: point at the telemetry, then write each
+  // requested artifact (each mode adds its bench rows beforehand).
+  const auto finish = [&](const char* trace_hint) {
+    if (service.telemetry() != nullptr)
+      std::printf("telemetry in %s (snapshots + events.jsonl; tail with "
+                  "tools/gt_top)\n",
+                  service.telemetry()->options().out_dir.c_str());
+    if (!trace_out.empty()) {
+      if (gt::obs::Tracer::global().write_chrome_trace_file(trace_out))
+        std::printf("trace written to %s%s\n", trace_out.c_str(), trace_hint);
+      else
+        std::fprintf(stderr, "failed to write trace to %s\n",
+                     trace_out.c_str());
+    }
+    if (!metrics_out.empty()) {
+      if (gt::obs::metrics().write_json_file(metrics_out))
+        std::printf("metrics written to %s\n", metrics_out.c_str());
+      else
+        std::fprintf(stderr, "failed to write metrics to %s\n",
+                     metrics_out.c_str());
+    }
+    if (!bench_out.empty()) {
+      bench.set_binary("service_cli");
+      if (bench.write_json_file(bench_out))
+        std::printf("bench report written to %s\n", bench_out.c_str());
+      else
+        std::fprintf(stderr, "failed to write bench report to %s\n",
+                     bench_out.c_str());
+    }
+    return 0;
+  };
 
   if (serve_mode) {
     std::printf(
         "serving %s on %s via %s: %zu requests, %s arrivals @ %.1f rps, "
-        "slo %llu ticks, queue %zu, batch <= %zu, %d worker%s\n\n",
+        "slo %llu ticks, queue %zu, batch <= %zu, %zu worker%s\n\n",
         model_name.c_str(), dataset_name.c_str(), framework.c_str(),
         serve_config.requests,
         gt::serving::to_string(serve_config.arrival.kind),
         serve_config.arrival.rate_rps,
         static_cast<unsigned long long>(serve_config.slo_ticks),
         serve_config.queue_depth, serve_config.batch.max_batch_requests,
-        workers, workers == 1 ? "" : "s");
+        options.workers, options.workers == 1 ? "" : "s");
     gt::serving::ServeReport rep;
     try {
       rep = service.serve(serve_config);
@@ -558,94 +429,43 @@ int main(int argc, char** argv) {
         100.0 * rep.shed_rate(),
         static_cast<unsigned long long>(rep.batches), rep.mean_batch_fill,
         static_cast<unsigned long long>(rep.span_ticks));
-    if (service.telemetry() != nullptr)
-      std::printf("telemetry in %s (snapshots + events.jsonl; tail with "
-                  "tools/gt_top)\n",
-                  service.telemetry()->options().out_dir.c_str());
-    if (!trace_out.empty()) {
-      if (gt::obs::Tracer::global().write_chrome_trace_file(trace_out))
-        std::printf("trace written to %s\n", trace_out.c_str());
-      else
-        std::fprintf(stderr, "failed to write trace to %s\n",
-                     trace_out.c_str());
-    }
-    if (!metrics_out.empty()) {
-      if (gt::obs::metrics().write_json_file(metrics_out))
-        std::printf("metrics written to %s\n", metrics_out.c_str());
-      else
-        std::fprintf(stderr, "failed to write metrics to %s\n",
-                     metrics_out.c_str());
-    }
     if (!bench_out.empty()) {
-      gt::obs::BenchReporter& rep_out = gt::obs::BenchReporter::global();
-      rep_out.set_binary("service_cli");
-      rep_out.set_iterations(static_cast<int>(rep.batches));
-      rep_out.set_context("service_cli --serve",
-                          model_name + " on " + dataset_name + " via " +
-                              framework + ", " +
-                              gt::serving::to_string(
-                                  serve_config.arrival.kind) +
-                              " arrivals");
-      gt::obs::BenchRow row;
-      row.dataset = dataset_name;
-      row.framework = framework;
-      row.metric = "p50 request latency";
-      row.unit = "ticks";
-      row.measured = rep.p50_latency_ticks;
-      rep_out.add_row(row);
-      row.metric = "p95 request latency";
-      row.measured = rep.p95_latency_ticks;
-      rep_out.add_row(row);
-      row.metric = "p99 request latency";
-      row.measured = rep.p99_latency_ticks;
-      rep_out.add_row(row);
-      row.metric = "goodput";
-      row.unit = "rps";
-      row.measured = rep.goodput_rps;
-      rep_out.add_row(row);
-      row.metric = "shed rate";
-      row.unit = "fraction";
-      row.measured = rep.shed_rate();
-      rep_out.add_row(row);
-      row.metric = "requests completed";
-      row.unit = "count";
-      row.measured = static_cast<double>(rep.completed);
-      rep_out.add_row(row);
-      row.metric = "requests shed";
-      row.measured = static_cast<double>(rep.shed());
-      rep_out.add_row(row);
-      row.metric = "requests degraded";
-      row.measured = static_cast<double>(rep.degraded);
-      rep_out.add_row(row);
-      row.metric = "serving batches";
-      row.measured = static_cast<double>(rep.batches);
-      rep_out.add_row(row);
-      row.metric = "mean batch fill";
-      row.unit = "fraction";
-      row.measured = rep.mean_batch_fill;
-      rep_out.add_row(row);
-      if (rep_out.write_json_file(bench_out))
-        std::printf("bench report written to %s\n", bench_out.c_str());
-      else
-        std::fprintf(stderr, "failed to write bench report to %s\n",
-                     bench_out.c_str());
+      bench.set_iterations(static_cast<int>(rep.batches));
+      bench.set_context("service_cli --serve",
+                        model_name + " on " + dataset_name + " via " +
+                            framework + ", " +
+                            gt::serving::to_string(serve_config.arrival.kind) +
+                            " arrivals");
+      bench_row("p50 request latency", "ticks", rep.p50_latency_ticks);
+      bench_row("p95 request latency", "ticks", rep.p95_latency_ticks);
+      bench_row("p99 request latency", "ticks", rep.p99_latency_ticks);
+      bench_row("goodput", "rps", rep.goodput_rps);
+      bench_row("shed rate", "fraction", rep.shed_rate());
+      bench_row("requests completed", "count", rep.completed);
+      bench_row("requests shed", "count", rep.shed());
+      bench_row("requests degraded", "count", rep.degraded);
+      bench_row("serving batches", "count", rep.batches);
+      bench_row("mean batch fill", "fraction", rep.mean_batch_fill);
     }
-    return 0;
+    return finish("");
   }
 
-  std::printf("training %s on %s via %s (%d batches of %zu, %d worker%s)\n",
+  std::printf("training %s on %s via %s (%zu batches of %zu, %zu worker%s)\n",
               model_name.c_str(), dataset_name.c_str(), framework.c_str(),
-              batches, options.batch_size, workers, workers == 1 ? "" : "s");
-  if (devices > 1)
-    std::printf("modeled multi-device: %d devices, %s sharding\n", devices,
+              batches, options.batch_size, options.workers,
+              options.workers == 1 ? "" : "s");
+  if (options.devices > 1)
+    std::printf("modeled multi-device: %zu devices, %s sharding\n",
+                options.devices,
                 gt::frameworks::to_string(
-                    shard == gt::frameworks::ShardStrategy::kNone
+                    options.shard == gt::frameworks::ShardStrategy::kNone
                         ? gt::frameworks::ShardStrategy::kRange
-                        : shard));
-  if (cache_budget > 0)
-    std::printf("embedding cache: %zu bytes, %s policy%s\n", cache_budget,
-                gt::sampling::to_string(cache_policy),
-                cache_prefetch ? ", prefetch on" : "");
+                        : options.shard));
+  if (options.cache_budget_bytes > 0)
+    std::printf("embedding cache: %zu bytes, %s policy%s\n",
+                options.cache_budget_bytes,
+                gt::sampling::to_string(options.cache_policy),
+                options.cache_prefetch ? ", prefetch on" : "");
   std::printf("\n");
 
   gt::Table table({"batch", "loss", "kernel us", "preproc us", "e2e us",
@@ -655,7 +475,7 @@ int main(int argc, char** argv) {
   std::vector<double> group_makespans, comm_us;
   double comm_bytes = 0.0, comm_steps = 0.0, collectives = 0.0;
   const std::vector<gt::frameworks::RunReport> reports =
-      service.train_batches(static_cast<std::size_t>(batches));
+      service.train_batches(batches);
   std::size_t degraded_batches = 0;
   std::uint64_t recovery_retries = 0;
   for (std::size_t b = 0; b < reports.size(); ++b) {
@@ -696,147 +516,50 @@ int main(int argc, char** argv) {
   std::printf("\nheld-out accuracy: %.1f%% (chance %.1f%%)\n",
               100.0 * accuracy, 100.0 / model.output_dim);
 
-  if (service.telemetry() != nullptr)
-    std::printf("telemetry in %s (snapshots + events.jsonl; tail with "
-                "tools/gt_top)\n",
-                service.telemetry()->options().out_dir.c_str());
-
-  if (!trace_out.empty()) {
-    if (gt::obs::Tracer::global().write_chrome_trace_file(trace_out))
-      std::printf("trace written to %s (load in chrome://tracing)\n",
-                  trace_out.c_str());
-    else
-      std::fprintf(stderr, "failed to write trace to %s\n",
-                   trace_out.c_str());
-  }
-  if (!metrics_out.empty()) {
-    if (gt::obs::metrics().write_json_file(metrics_out))
-      std::printf("metrics written to %s\n", metrics_out.c_str());
-    else
-      std::fprintf(stderr, "failed to write metrics to %s\n",
-                   metrics_out.c_str());
-  }
   if (!bench_out.empty()) {
-    gt::obs::BenchReporter& rep = gt::obs::BenchReporter::global();
-    rep.set_binary("service_cli");
-    rep.set_iterations(batches);
-    rep.set_context("service_cli",
-                    model_name + " on " + dataset_name + " via " + framework);
-    {
-      gt::obs::BenchRow row;
-      row.metric = "mean batch e2e";
-      row.dataset = dataset_name;
-      row.framework = framework;
-      row.unit = "us";
-      row.measured = gt::mean(e2e_us);
-      rep.add_row(row);
-      row.metric = "final batch loss";
-      row.unit = "loss";
-      row.measured = losses.empty() ? 0.0 : losses.back();
-      rep.add_row(row);
-      row.metric = "held-out accuracy";
-      row.unit = "fraction";
-      row.measured = accuracy;
-      rep.add_row(row);
-      row.metric = "arena peak";
-      row.unit = "bytes";
-      row.measured = arena_peaks.empty()
-                         ? 0.0
-                         : *std::max_element(arena_peaks.begin(),
-                                             arena_peaks.end());
-      rep.add_row(row);
-      row.metric = "arena allocations per batch";
-      row.unit = "count";
-      row.measured = gt::mean(arena_allocs);
-      rep.add_row(row);
-      // Real host time (steady_clock), not simulated: varies with machine
-      // load and --compute-threads, unlike every row above.
-      row.metric = "mean host prepare wall";
-      row.unit = "us";
-      row.measured = gt::mean(host_prep_us);
-      rep.add_row(row);
-      row.metric = "mean host execute wall";
-      row.unit = "us";
-      row.measured = gt::mean(host_exec_us);
-      rep.add_row(row);
-      row.metric = "degraded batches";
-      row.unit = "count";
-      row.measured = static_cast<double>(degraded_batches);
-      rep.add_row(row);
-      row.metric = "recovery retries";
-      row.unit = "count";
-      row.measured = static_cast<double>(recovery_retries);
-      rep.add_row(row);
-      if (!group_makespans.empty()) {
-        // Multi-device rows: the modeled group timeline and the collective
-        // traffic it absorbed (DESIGN.md §14).
-        row.metric = "devices";
-        row.unit = "count";
-        row.measured = static_cast<double>(devices);
-        rep.add_row(row);
-        row.metric = "mean group makespan";
-        row.unit = "us";
-        row.measured = gt::mean(group_makespans);
-        rep.add_row(row);
-        row.metric = "mean collective comm";
-        row.unit = "us";
-        row.measured = gt::mean(comm_us);
-        rep.add_row(row);
-        row.metric = "collective wire bytes";
-        row.unit = "bytes";
-        row.measured = comm_bytes;
-        rep.add_row(row);
-        row.metric = "collective steps";
-        row.unit = "count";
-        row.measured = comm_steps;
-        rep.add_row(row);
-        row.metric = "collectives priced";
-        row.unit = "count";
-        row.measured = collectives;
-        rep.add_row(row);
-      }
-      if (cache_budget > 0) {
-        // Embedding cache rows (DESIGN.md §15), read back from the
-        // committed per-tier counters in the metrics registry.
-        gt::obs::MetricsRegistry& m = gt::obs::metrics();
-        const auto count = [&m](const char* name) {
-          return static_cast<double>(m.counter(name).value());
-        };
-        row.metric = "cache hit rate";
-        row.unit = "fraction";
-        row.measured = m.gauge("embedding_cache.hit_rate").value();
-        rep.add_row(row);
-        row.metric = "cache static hits";
-        row.unit = "count";
-        row.measured = count("cache.static.hits");
-        rep.add_row(row);
-        row.metric = "cache dynamic hits";
-        row.unit = "count";
-        row.measured = count("cache.dynamic.hits");
-        rep.add_row(row);
-        row.metric = "cache prefetch hits";
-        row.unit = "count";
-        row.measured = count("cache.prefetch.hits");
-        rep.add_row(row);
-        row.metric = "cache misses";
-        row.unit = "count";
-        row.measured = count("cache.misses");
-        rep.add_row(row);
-        row.metric = "cache evictions";
-        row.unit = "count";
-        row.measured = count("cache.evictions");
-        rep.add_row(row);
-        row.metric = "cache ring chunks";
-        row.unit = "count";
-        row.measured = count("cache.ring.chunks");
-        rep.add_row(row);
-      }
+    bench.set_iterations(static_cast<int>(batches));
+    bench.set_context("service_cli",
+                      model_name + " on " + dataset_name + " via " + framework);
+    bench_row("mean batch e2e", "us", gt::mean(e2e_us));
+    bench_row("final batch loss", "loss", losses.empty() ? 0.0 : losses.back());
+    bench_row("held-out accuracy", "fraction", accuracy);
+    bench_row("arena peak", "bytes",
+              arena_peaks.empty() ? 0.0
+                                  : *std::max_element(arena_peaks.begin(),
+                                                      arena_peaks.end()));
+    bench_row("arena allocations per batch", "count", gt::mean(arena_allocs));
+    // Real host time (steady_clock), not simulated: varies with machine
+    // load and --compute-threads, unlike every row above.
+    bench_row("mean host prepare wall", "us", gt::mean(host_prep_us));
+    bench_row("mean host execute wall", "us", gt::mean(host_exec_us));
+    bench_row("degraded batches", "count", degraded_batches);
+    bench_row("recovery retries", "count", recovery_retries);
+    if (!group_makespans.empty()) {
+      // Multi-device rows: the modeled group timeline and the collective
+      // traffic it absorbed (DESIGN.md §14).
+      bench_row("devices", "count", options.devices);
+      bench_row("mean group makespan", "us", gt::mean(group_makespans));
+      bench_row("mean collective comm", "us", gt::mean(comm_us));
+      bench_row("collective wire bytes", "bytes", comm_bytes);
+      bench_row("collective steps", "count", comm_steps);
+      bench_row("collectives priced", "count", collectives);
     }
-    if (rep.write_json_file(bench_out))
-      std::printf("bench report written to %s\n", bench_out.c_str());
-    else
-      std::fprintf(stderr, "failed to write bench report to %s\n",
-                   bench_out.c_str());
+    if (options.cache_budget_bytes > 0) {
+      // Embedding cache rows (DESIGN.md §15), read back from the
+      // committed per-tier counters in the metrics registry.
+      gt::obs::MetricsRegistry& m = gt::obs::metrics();
+      bench_row("cache hit rate", "fraction",
+                m.gauge("embedding_cache.hit_rate").value());
+      const auto count = [&m](const char* name) {
+        return static_cast<double>(m.counter(name).value());
+      };
+      bench_row("cache static hits", "count", count("cache.static.hits"));
+      bench_row("cache dynamic hits", "count", count("cache.dynamic.hits"));
+      bench_row("cache prefetch hits", "count", count("cache.prefetch.hits"));
+      bench_row("cache misses", "count", count("cache.misses"));
+      bench_row("cache evictions", "count", count("cache.evictions"));
+      bench_row("cache ring chunks", "count", count("cache.ring.chunks"));
+    }
   }
-  return 0;
+  return finish(" (load in chrome://tracing)");
 }

@@ -1,10 +1,9 @@
 #include "fault/fault.hpp"
 
-#include <algorithm>
-#include <cstdlib>
-#include <limits>
+#include <optional>
 
 #include "obs/live/event_log.hpp"
+#include "util/parse.hpp"
 
 namespace gt::fault {
 
@@ -26,31 +25,9 @@ std::string describe(Site site, Kind kind, std::uint64_t batch,
   return s;
 }
 
-std::string_view trim(std::string_view s) {
-  while (!s.empty() && (s.front() == ' ' || s.front() == '\t')) s.remove_prefix(1);
-  while (!s.empty() && (s.back() == ' ' || s.back() == '\t')) s.remove_suffix(1);
-  return s;
-}
-
 [[noreturn]] void bad_spec(std::string_view entry, const std::string& why) {
   throw std::invalid_argument("fault spec: bad entry '" + std::string(entry) +
                               "': " + why);
-}
-
-/// Fully-consumed non-negative decimal; false on a non-digit or a value
-/// past 2^64-1 (silent wrap-around would arm the fault at the wrong batch).
-bool parse_u64(std::string_view text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  std::uint64_t v = 0;
-  for (char c : text) {
-    if (c < '0' || c > '9') return false;
-    const std::uint64_t digit = static_cast<std::uint64_t>(c - '0');
-    if (v > (std::numeric_limits<std::uint64_t>::max() - digit) / 10)
-      return false;
-    v = v * 10 + digit;
-  }
-  *out = v;
-  return true;
 }
 
 FaultEntry parse_entry(std::string_view entry) {
@@ -78,22 +55,26 @@ FaultEntry parse_entry(std::string_view entry) {
       bad_spec(entry, "expected key=value, got '" + std::string(part) + "'");
     const std::string_view key = part.substr(0, eq);
     const std::string_view value = part.substr(eq + 1);
-    std::uint64_t n = 0;
+    // parse_uint rejects a value past 2^64-1 rather than wrapping, which
+    // would arm the fault at the wrong batch.
     if (key == "batch") {
-      if (!parse_u64(value, &n)) bad_spec(entry, "batch wants an integer");
-      e.batch = n;
+      const std::optional<std::uint64_t> n = parse_uint(value);
+      if (!n) bad_spec(entry, "batch wants an integer");
+      e.batch = *n;
       have_batch = true;
     } else if (key == "layer") {
-      if (!parse_u64(value, &n) || n >= kAnyCoord)
-        bad_spec(entry, "layer wants a small integer");
-      e.coord = static_cast<std::uint32_t>(n);
+      const std::optional<std::uint64_t> n =
+          parse_uint(value, 0, kAnyCoord - 1);
+      if (!n) bad_spec(entry, "layer wants a small integer");
+      e.coord = static_cast<std::uint32_t>(*n);
     } else if (key == "times") {
       if (value == "inf") {
         e.times = kForever;
-      } else if (!parse_u64(value, &n) || n == 0 || n >= kForever) {
-        bad_spec(entry, "times wants a positive integer or 'inf'");
       } else {
-        e.times = static_cast<std::uint32_t>(n);
+        const std::optional<std::uint64_t> n =
+            parse_uint(value, 1, kForever - 1);
+        if (!n) bad_spec(entry, "times wants a positive integer or 'inf'");
+        e.times = static_cast<std::uint32_t>(*n);
       }
     } else if (key == "kind") {
       if (value == "transient")  e.kind = Kind::kTransient;

@@ -7,6 +7,7 @@
 #include "obs/attrib/kernel_ledger.hpp"
 #include "obs/json.hpp"
 #include "obs/trace.hpp"
+#include "util/parse.hpp"
 
 namespace gt::obs::attrib {
 
@@ -354,28 +355,26 @@ int run_gt_explain(const std::vector<std::string>& args, std::ostream& out,
           "sums-to-total invariant, 2 on usage/IO errors.\n";
   };
 
-  bool json = false, self_test = false;
+  bool json = false, self_test = false, help = false;
   std::size_t top_n = 10;
-  std::vector<std::string> paths;
-  for (const std::string& arg : args) {
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--self-test") {
-      self_test = true;
-    } else if (arg.rfind("--top=", 0) == 0) {
-      top_n = static_cast<std::size_t>(
-          std::max(1L, std::atol(arg.c_str() + 6)));
-    } else if (arg == "--help" || arg == "-h") {
-      usage(out);
-      return 0;
-    } else if (arg.rfind("--", 0) == 0) {
-      err << "gt_explain: unknown flag " << arg << "\n";
-      usage(err);
-      return 2;
-    } else {
-      paths.push_back(arg);
-    }
+  const Flag flags[] = {
+      {"--json", &json},
+      {"--self-test", &self_test},
+      {"--top", into(&top_n, 1), "a kernel-class count >= 1"},
+      {"--help", &help},
+      {"-h", &help},
+  };
+  const ParsedFlags parsed = parse_flags(args, flags);
+  if (!parsed.ok()) {
+    err << "gt_explain: " << parsed.error << "\n";
+    usage(err);
+    return 2;
   }
+  if (help) {
+    usage(out);
+    return 0;
+  }
+  const std::vector<std::string>& paths = parsed.positionals;
 
   if (self_test) {
     if (paths.size() != 1) {

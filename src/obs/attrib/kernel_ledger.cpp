@@ -5,10 +5,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <limits>
 
 #include "obs/live/event_log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/parse.hpp"
 
 namespace gt::obs::attrib {
 
@@ -286,13 +288,11 @@ bool KernelLedger::write_json_file() const {
 }
 
 double costmodel_drift_threshold_pct() {
-  static const double threshold = [] {
-    if (const char* env = std::getenv("GT_COSTMODEL_DRIFT_PCT")) {
-      const double v = std::atof(env);
-      if (v > 0.0) return v;
-    }
-    return 25.0;
-  }();
+  static const double threshold =
+      env_real("GT_COSTMODEL_DRIFT_PCT",
+               std::numeric_limits<double>::denorm_min(),
+               std::numeric_limits<double>::max(), "a finite percentage > 0")
+          .value_or(25.0);
   return threshold;
 }
 

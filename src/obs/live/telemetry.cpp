@@ -3,11 +3,13 @@
 #include <atomic>
 #include <cstdlib>
 #include <exception>
+#include <limits>
 #include <string>
 
 #include "obs/live/event_log.hpp"
 #include "obs/live/worker_profiler.hpp"
 #include "obs/trace.hpp"
+#include "util/parse.hpp"
 
 namespace gt::obs::live {
 
@@ -32,25 +34,18 @@ void telemetry_terminate_handler() {
   std::abort();
 }
 
-bool env_u64(const char* name, std::uint64_t& out) {
-  const char* v = std::getenv(name);
-  if (v == nullptr || *v == '\0') return false;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  if (end == v || *end != '\0') return false;
-  out = parsed;
-  return true;
-}
-
 }  // namespace
 
 TelemetryOptions TelemetryOptions::from_env() {
   TelemetryOptions opt;
   if (const char* v = std::getenv("GT_TELEMETRY_OUT"))
     if (*v != '\0') opt.out_dir = v;
-  std::uint64_t u = 0;
-  if (env_u64("GT_TELEMETRY_INTERVAL", u) && u > 0) opt.interval = u;
-  if (env_u64("GT_TELEMETRY_WATCHDOG_MS", u)) opt.watchdog_stall_ms = u;
+  const std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  opt.interval = env_uint("GT_TELEMETRY_INTERVAL", 1, kMax, "an integer >= 1")
+                     .value_or(opt.interval);
+  opt.watchdog_stall_ms =
+      env_uint("GT_TELEMETRY_WATCHDOG_MS", 0, kMax, "milliseconds >= 0")
+          .value_or(opt.watchdog_stall_ms);
   return opt;
 }
 

@@ -1,13 +1,14 @@
 #include "util/parallel.hpp"
 
 #include <algorithm>
-#include <cctype>
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 
 #include "util/log.hpp"
+#include "util/parse.hpp"
 
 namespace gt {
 
@@ -42,23 +43,10 @@ Engine& engine() {
 }  // namespace
 
 std::size_t parse_thread_count(const char* text, bool* valid) {
-  *valid = false;
-  if (text == nullptr) return 0;
-  // The old parser took strtol's best effort, so "8x" silently became 8
-  // and "abc" became a rejected 0 with no diagnostic. Require a fully
-  // consumed non-negative decimal (surrounding whitespace allowed).
-  const char* p = text;
-  while (*p != '\0' && std::isspace(static_cast<unsigned char>(*p))) ++p;
-  if (*p == '\0') return 0;
-  char* end = nullptr;
-  const long v = std::strtol(p, &end, 10);
-  if (end == p) return 0;
-  while (*end != '\0' && std::isspace(static_cast<unsigned char>(*end))) ++end;
-  if (*end != '\0') return 0;
-  if (v < 1) return 0;
-  *valid = true;
-  return std::min<std::size_t>(static_cast<std::size_t>(v),
-                               kMaxComputeThreads);
+  const std::optional<std::uint64_t> v =
+      text == nullptr ? std::nullopt : parse_uint(text, 1);
+  *valid = v.has_value();
+  return v ? std::min<std::uint64_t>(*v, kMaxComputeThreads) : 0;
 }
 
 std::size_t compute_threads() {

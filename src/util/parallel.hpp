@@ -27,11 +27,8 @@ namespace gt {
 /// GT_COMPUTE_THREADS=999 must not fork-bomb the host.
 inline constexpr std::size_t kMaxComputeThreads = 64;
 
-/// Parse a thread-count string (GT_COMPUTE_THREADS): a fully consumed
-/// positive decimal, surrounding whitespace allowed, clamped to
-/// [1, kMaxComputeThreads]. On success sets *valid = true and returns the
-/// count; on any reject (null, empty, trailing garbage, zero, negative)
-/// sets *valid = false and returns 0.
+/// A GT_COMPUTE_THREADS value: parse_uint(text, 1) clamped to
+/// kMaxComputeThreads, with *valid = true; or 0 with *valid = false.
 std::size_t parse_thread_count(const char* text, bool* valid);
 
 /// Number of compute threads the engine is configured for (>= 1).

@@ -478,6 +478,22 @@ TEST(TelemetryOptions, FromEnvParsesAndCliStyleOverridesWin) {
   ASSERT_EQ(setenv("GT_TELEMETRY_INTERVAL", "bogus", 1), 0);
   EXPECT_EQ(TelemetryOptions::from_env().interval, 1u);  // unparsable => default
 
+  // Whole-text decimals only: "-1" must not wrap to 2^64-1 (an interval
+  // that never snapshots, a watchdog silently off), and a trailing "x" is
+  // not ignored. Surrounding whitespace is.
+  for (const char* bad : {"-1", "7x"}) {
+    ASSERT_EQ(setenv("GT_TELEMETRY_INTERVAL", bad, 1), 0);
+    ASSERT_EQ(setenv("GT_TELEMETRY_WATCHDOG_MS", bad, 1), 0);
+    const TelemetryOptions o = TelemetryOptions::from_env();
+    EXPECT_EQ(o.interval, TelemetryOptions{}.interval) << bad;
+    EXPECT_EQ(o.watchdog_stall_ms, TelemetryOptions{}.watchdog_stall_ms)
+        << bad;
+  }
+  ASSERT_EQ(setenv("GT_TELEMETRY_INTERVAL", " 7 ", 1), 0);
+  ASSERT_EQ(setenv("GT_TELEMETRY_WATCHDOG_MS", " 7 ", 1), 0);
+  EXPECT_EQ(TelemetryOptions::from_env().interval, 7u);
+  EXPECT_EQ(TelemetryOptions::from_env().watchdog_stall_ms, 7u);
+
   unsetenv("GT_TELEMETRY_OUT");
   unsetenv("GT_TELEMETRY_INTERVAL");
   unsetenv("GT_TELEMETRY_WATCHDOG_MS");

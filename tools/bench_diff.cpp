@@ -3,6 +3,9 @@
 //
 //   $ bench_diff [--threshold=0.05] [--json] baseline.json current.json
 //
+// An unknown flag, or a threshold (flag or GT_BENCH_DIFF_THRESHOLD) that
+// is not a finite number >= 0, exits 2: a NaN threshold would pass every
+// row and so silently disable the gate.
 // Exit codes: 0 = no regression, 1 = some row regressed past the
 // threshold, 2 = bad usage / unreadable input / comparison incomplete (a
 // baseline row is missing from the candidate — that is not a measured
@@ -32,6 +35,7 @@
 #include <vector>
 
 #include "obs/report.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -58,36 +62,36 @@ int usage(const char* argv0) {
 
 int main(int argc, char** argv) {
   gt::obs::BenchDiffOptions opt;
-  if (const char* env = std::getenv("GT_BENCH_DIFF_THRESHOLD"))
-    opt.threshold = std::atof(env);
-  std::vector<std::string> paths;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--threshold=", 0) == 0) {
-      opt.threshold = std::atof(arg.c_str() + 12);
-      if (opt.threshold < 0.0) {
-        std::fprintf(stderr, "bench_diff: threshold must be >= 0\n");
-        return 2;
-      }
-    } else if (arg == "--json") {
-      opt.json = true;
-    } else if (arg.rfind("--top=", 0) == 0) {
-      const long n = std::atol(arg.c_str() + 6);
-      opt.top_kernels = n < 0 ? 0 : static_cast<std::size_t>(n);
-    } else if (arg.rfind("--baseline-kernels=", 0) == 0) {
-      opt.baseline_kernels = arg.substr(19);
-    } else if (arg.rfind("--current-kernels=", 0) == 0) {
-      opt.current_kernels = arg.substr(18);
-    } else if (arg == "--help" || arg == "-h") {
-      usage(argv[0]);
-      return 0;
-    } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "bench_diff: unknown flag %s\n", arg.c_str());
-      return usage(argv[0]);
-    } else {
-      paths.push_back(arg);
-    }
+  constexpr const char* kThresholdText = "a finite fraction >= 0";
+  const gt::FlagSetter threshold = gt::into(&opt.threshold, 0.0);
+  const char* env = std::getenv("GT_BENCH_DIFF_THRESHOLD");
+  if (env != nullptr && !threshold(env)) {
+    std::fprintf(stderr,
+                 "bench_diff: GT_BENCH_DIFF_THRESHOLD=%s: expected %s\n", env,
+                 kThresholdText);
+    return 2;
   }
-  if (paths.size() != 2) return usage(argv[0]);
-  return gt::obs::run_bench_diff(paths[0], paths[1], opt, std::cout);
+  bool help = false;
+  const gt::Flag flags[] = {
+      {"--threshold", threshold, kThresholdText},
+      {"--json", &opt.json},
+      {"--top", gt::into(&opt.top_kernels), "a kernel-class count >= 0"},
+      {"--baseline-kernels", gt::into(&opt.baseline_kernels), "a file path"},
+      {"--current-kernels", gt::into(&opt.current_kernels), "a file path"},
+      {"--help", &help},
+      {"-h", &help},
+  };
+  const gt::ParsedFlags args =
+      gt::parse_flags(std::vector<std::string>(argv + 1, argv + argc), flags);
+  if (!args.ok()) {
+    std::fprintf(stderr, "bench_diff: %s\n", args.error.c_str());
+    return usage(argv[0]);
+  }
+  if (help) {
+    usage(argv[0]);
+    return 0;
+  }
+  if (args.positionals.size() != 2) return usage(argv[0]);
+  return gt::obs::run_bench_diff(args.positionals[0], args.positionals[1], opt,
+                                 std::cout);
 }

@@ -7,28 +7,31 @@
 //
 // --quick trims the sweep to one GT backend and one baseline (the unit
 // tests cover the rest); the default runs the full four-backend matrix.
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "fault/harness.hpp"
+#include "util/parse.hpp"
 #include "util/table.hpp"
 
 int main(int argc, char** argv) {
   gt::fault::HarnessOptions opts;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.rfind("--batches=", 0) == 0) {
-      opts.batches = static_cast<std::size_t>(
-          std::max(1, std::atoi(arg.c_str() + 10)));
-    } else if (arg == "--quick") {
-      opts.backends = {"DGL", "Prepro-GT"};
-      opts.worker_counts = {1, 4};
-    } else {
-      std::fprintf(stderr, "usage: %s [--batches=N] [--quick]\n", argv[0]);
-      return 2;
-    }
+  bool quick = false;
+  const gt::Flag flags[] = {
+      {"--batches", gt::into(&opts.batches, 1), "a batch count >= 1"},
+      {"--quick", &quick},
+  };
+  const gt::ParsedFlags args =
+      gt::parse_flags(std::vector<std::string>(argv + 1, argv + argc), flags);
+  if (!args.ok() || !args.positionals.empty()) {
+    if (!args.ok()) std::fprintf(stderr, "%s\n", args.error.c_str());
+    std::fprintf(stderr, "usage: %s [--batches=N] [--quick]\n", argv[0]);
+    return 2;
+  }
+  if (quick) {
+    opts.backends = {"DGL", "Prepro-GT"};
+    opts.worker_counts = {1, 4};
   }
 
   const gt::fault::HarnessResult result = gt::fault::run_sweep(opts);

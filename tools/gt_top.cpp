@@ -45,6 +45,7 @@
 #endif
 
 #include "obs/json.hpp"
+#include "util/parse.hpp"
 
 namespace {
 
@@ -430,42 +431,37 @@ int check(const std::string& dir) {
 
 int main(int argc, char** argv) {
   bool once = false, run_check = false, no_color = false;
-  int refresh_ms = 1000;
-  long frames = 0;
-  std::string dir;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--once") {
-      once = true;
-    } else if (arg == "--check") {
-      run_check = true;
-    } else if (arg == "--no-color") {
-      no_color = true;
-    } else if (arg.rfind("--refresh-ms=", 0) == 0) {
-      refresh_ms = std::atoi(arg.c_str() + 13);
-    } else if (arg.rfind("--frames=", 0) == 0) {
-      frames = std::atol(arg.c_str() + 9);
-    } else if (!arg.empty() && arg[0] == '-') {
-      std::fprintf(stderr, "unknown flag %s\n", arg.c_str());
-      return 2;
-    } else {
-      dir = arg;
-    }
+  std::uint64_t refresh_ms = 1000;
+  std::uint64_t frames = 0;
+  const gt::Flag flags[] = {
+      {"--once", &once},
+      {"--check", &run_check},
+      {"--no-color", &no_color},
+      {"--refresh-ms", gt::into(&refresh_ms, 0, 86'400'000),
+       "milliseconds in [0, 86400000]"},
+      {"--frames", gt::into(&frames), "a frame count >= 0 (0 = forever)"},
+  };
+  const gt::ParsedFlags args =
+      gt::parse_flags(std::vector<std::string>(argv + 1, argv + argc), flags);
+  if (!args.ok()) {
+    std::fprintf(stderr, "gt_top: %s\n", args.error.c_str());
+    return 2;
   }
-  if (dir.empty()) {
+  if (args.positionals.size() != 1) {
     std::fprintf(stderr,
                  "usage: gt_top [--once|--check] [--no-color] "
                  "[--refresh-ms=N] [--frames=N] <telemetry-dir>\n");
     return 2;
   }
+  const std::string& dir = args.positionals[0];
   // Colors only when stdout is an interactive terminal and nobody opted
   // out (--no-color flag, or the conventional NO_COLOR env variable).
   g_color = !no_color && std::getenv("NO_COLOR") == nullptr &&
             stdout_is_tty();
   if (run_check) return check(dir);
   if (once) return render(dir, /*clear_screen=*/false);
-  if (refresh_ms < 50) refresh_ms = 50;
-  long shown = 0;
+  refresh_ms = std::max<std::uint64_t>(refresh_ms, 50);
+  std::uint64_t shown = 0;
   while (true) {
     // Clearing the screen needs escape support too; without a color-capable
     // terminal, frames append instead of overwriting garbage escapes.
