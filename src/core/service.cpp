@@ -1,7 +1,6 @@
 #include "core/service.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <exception>
@@ -11,7 +10,6 @@
 #include "kernels/reference.hpp"
 #include "obs/attrib/kernel_ledger.hpp"
 #include "obs/live/event_log.hpp"
-#include "obs/live/worker_profiler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "pipeline/executor.hpp"
@@ -22,12 +20,6 @@
 namespace gt {
 
 namespace {
-double elapsed_us(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - since)
-      .count();
-}
-
 // Correlation id of a batch: batch_index + 1, so cid 0 stays "none" and a
 // grep for one cid returns the batch's whole causal chain (fault.inject,
 // every retry, the degradation) across prepare threads and the execute
@@ -265,9 +257,9 @@ frameworks::RunReport GnnService::run_with_recovery(
                " backoff tick", ticks == 1 ? "" : "s", ": ", last_reason);
     }
     try {
-      // run_batch begins with ctx.begin_batch(), which doubles as the
-      // quarantine reset after a failed attempt left the context
-      // mid-batch.
+      // run_batch's prepare phase begins with ctx.begin_batch(), which
+      // doubles as the quarantine reset after a failed attempt left the
+      // context mid-batch.
       fault::PlanScope scope(fault_plan_.get(), spec.batch_index);
       frameworks::RunReport r =
           backend_->run_batch(dataset_, model_, params_, spec, ctx);
@@ -302,16 +294,14 @@ frameworks::RunReport GnnService::infer_batch() {
 }
 
 template <class Pull, class Done, class Unwind>
-void GnnService::run_ring(std::size_t depth,
-                          [[maybe_unused]] const char* batch_span,
-                          const char* unwind_reason, Pull&& pull, Done&& done,
-                          Unwind&& unwind) {
+void GnnService::run_ring(std::size_t depth, const char* unwind_reason,
+                          Pull&& pull, Done&& done, Unwind&& unwind) {
   // Bounded in-flight ring, capacity = depth: batch i prepares in context
   // (i % depth) on the pool while earlier batches execute on this thread,
-  // strictly in batch order. prepare_batch never touches model parameters,
-  // so the depth cannot change any report. Depth 1 is the serial case:
-  // each batch is pulled when it is next to run and prepares inline on
-  // this thread, with no pool and no future.
+  // strictly in batch order. Framework::prepare never touches model
+  // parameters, so the depth cannot change any report. Depth 1 is the
+  // serial case: each batch is pulled when it is next to run and prepares
+  // inline on this thread, with no pool and no future.
   const bool pooled = depth > 1;
   ensure_contexts(depth);
   if (pooled && (!pool_ || pool_->size() < depth))
@@ -320,14 +310,13 @@ void GnnService::run_ring(std::size_t depth,
 
   std::vector<frameworks::BatchSpec> specs(depth);
   std::vector<std::future<void>> inflight(depth);
-  std::vector<double> prepare_us(depth, 0.0);
 
-  // Exception safety: pool tasks write through pointers into `prepare_us`
-  // and the worker contexts, so every launched task must finish before ANY
-  // unwind of this frame — not just the exceptions the catch handlers
-  // below see directly. A retry issued from inside a catch handler can
-  // itself throw (e.g. a kind=abort entry armed for a later attempt of the
-  // same batch). Declared after the vectors so the guard runs first.
+  // Exception safety: pool tasks write through pointers into the worker
+  // contexts, so every launched task must finish before ANY unwind of this
+  // frame — not just the exceptions the catch handlers below see directly.
+  // A retry issued from inside a catch handler can itself throw (e.g. a
+  // kind=abort entry armed for a later attempt of the same batch).
+  // Declared after the vectors so the guard runs first.
   auto unwind_cleanup = [&]() noexcept {
     // wait() (unlike get()) does not rethrow, so the drain itself cannot
     // throw; a stored exception is discarded with its future.
@@ -352,16 +341,10 @@ void GnnService::run_ring(std::size_t depth,
 
   auto prepare = [this, plan = fault_plan_.get()](
                      pipeline::BatchContext& ctx,
-                     const frameworks::BatchSpec& spec, double& us) {
-    GT_OBS_SCOPE_N(span, "service.prepare_batch", "service");
-    span.arg("batch", static_cast<std::int64_t>(spec.batch_index));
+                     const frameworks::BatchSpec& spec) {
     obs::live::CorrelationScope cscope(batch_cid(spec));
-    GT_LIVE_STAGE(kPrepare);
-    const auto t0 = std::chrono::steady_clock::now();
     fault::PlanScope scope(plan, spec.batch_index);
-    ctx.begin_batch();
-    backend_->prepare_batch(dataset_, model_, spec, ctx);
-    us = elapsed_us(t0);
+    backend_->prepare(dataset_, model_, spec, ctx);
   };
   std::size_t pulled = 0;
   // Takes the next spec into its slot and, when pooled, starts preparing it.
@@ -371,9 +354,8 @@ void GnnService::run_ring(std::size_t depth,
     const std::size_t s = pulled++ % depth;
     specs[s] = *spec;
     if (pooled)
-      inflight[s] = pool_->submit(
-          [prepare, ctx = contexts_[s].get(), spec = *spec,
-           us = &prepare_us[s]] { prepare(*ctx, spec, *us); });
+      inflight[s] = pool_->submit([prepare, ctx = contexts_[s].get(),
+                                   spec = *spec] { prepare(*ctx, spec); });
     return true;
   };
 
@@ -390,17 +372,10 @@ void GnnService::run_ring(std::size_t depth,
       if (pooled)
         inflight[s].get();  // rethrows preprocessing failures
       else
-        prepare(ctx, spec, prepare_us[s]);
-      GT_OBS_SCOPE_N(span, batch_span, "service");
-      span.arg("batch", static_cast<std::int64_t>(spec.batch_index));
+        prepare(ctx, spec);
       obs::live::CorrelationScope cscope(batch_cid(spec));
-      const auto t0 = std::chrono::steady_clock::now();
-      GT_LIVE_STAGE(kExecute);
       fault::PlanScope scope(fault_plan_.get(), spec.batch_index);
-      report =
-          backend_->execute_prepared(dataset_, model_, params_, spec, ctx);
-      report.host_execute_us = elapsed_us(t0);
-      report.host_prepare_us = prepare_us[s];
+      report = backend_->execute(dataset_, model_, params_, spec, ctx);
     } catch (const fault::InjectedFault& f) {
       if (f.kind() == fault::Kind::kAbort) throw;  // guard drains behind us
       // Transient, in prepare or execute: re-run the whole batch serially
@@ -429,8 +404,7 @@ std::vector<frameworks::RunReport> GnnService::run_batches(
 
   std::size_t next = 0;
   run_ring(
-      std::min(options_.workers, batches), "service.train_batch",
-      "service.run_batches unwind",
+      std::min(options_.workers, batches), "service.run_batches unwind",
       [&]() -> std::optional<frameworks::BatchSpec> {
         if (next == specs.size()) return std::nullopt;
         return specs[next++];
@@ -651,8 +625,7 @@ serving::ServeReport GnnService::serve(const serving::ServeConfig& config) {
   // queued requests drain to kShedShutdown through the lifecycle's stopping
   // state, and the published counters catch up before telemetry flushes.
   run_ring(
-      options_.workers, "service.serve_batch", "service.serve unwind",
-      pull_plan,
+      options_.workers, "service.serve unwind", pull_plan,
       [&](std::size_t i, const frameworks::BatchSpec& spec,
           frameworks::RunReport&& report, std::size_t) {
         price_batch(i, report);

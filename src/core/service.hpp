@@ -6,7 +6,7 @@
 // With workers == 1 every batch runs serially in context 0. With
 // workers > 1, a bounded in-flight ring (capacity = workers) prepares
 // upcoming batches concurrently on the thread pool — batch i preprocesses
-// in context (i % workers) — while execute_prepared (device compute +
+// in context (i % workers) — while Framework::execute (device compute +
 // SGD) always runs on the caller thread, in batch order. Preprocessing is
 // parameter-independent, so the reports are bit-identical to a serial run.
 //
@@ -235,9 +235,8 @@ class GnnService {
   /// `done(i, spec, report, in_flight)` runs after batch i in order;
   /// `unwind()` adds the caller's cleanup to the drain-before-unwind.
   template <class Pull, class Done, class Unwind>
-  void run_ring(std::size_t depth, const char* batch_span,
-                const char* unwind_reason, Pull&& pull, Done&& done,
-                Unwind&& unwind);
+  void run_ring(std::size_t depth, const char* unwind_reason, Pull&& pull,
+                Done&& done, Unwind&& unwind);
   /// Run one batch attempt-by-attempt: retry transient InjectedFaults
   /// with virtual backoff (`failed_attempts` counts attempts already
   /// burned by the caller, e.g. a ring preparation that threw), degrade

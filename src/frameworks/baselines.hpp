@@ -40,6 +40,7 @@ class BaselineFramework : public Framework {
 
   std::string name() const override { return name_; }
 
+ protected:
   void prepare_batch(const Dataset& data, const models::GnnModelConfig& model,
                      const BatchSpec& spec,
                      pipeline::BatchContext& ctx) override;

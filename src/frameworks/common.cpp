@@ -5,7 +5,6 @@
 #include "datasets/embedding.hpp"
 #include "fault/fault.hpp"
 #include "obs/attrib/kernel_ledger.hpp"
-#include "obs/live/worker_profiler.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "tensor/ops.hpp"
@@ -151,7 +150,7 @@ std::unique_ptr<DeviceSession> open_session(
     const pipeline::PreprocResult& pre, const models::ModelParams& params,
     const sampling::ReindexFormats& formats, bool upload_input) {
   fault::check(fault::Site::kTransfer);
-  GT_LIVE_STAGE(kTransfer);
+  GT_STAGE(upload_span, kTransfer, "T.upload", "transfer");
   auto session = std::make_unique<DeviceSession>(eval_device_config());
   gpusim::Device& dev = session->dev;
 

@@ -1,19 +1,18 @@
 #include "frameworks/framework.hpp"
 
-#include <chrono>
 #include <stdexcept>
 
 #include "frameworks/baselines.hpp"
 #include "frameworks/graphtensor.hpp"
-#include "obs/live/worker_profiler.hpp"
+#include "obs/trace.hpp"
 
 namespace gt::frameworks {
 
 namespace {
-double elapsed_us(std::chrono::steady_clock::time_point since) {
-  return std::chrono::duration<double, std::micro>(
-             std::chrono::steady_clock::now() - since)
-      .count();
+void tag_phase(obs::Span& span, const Framework& f, const BatchSpec& spec) {
+  if (!span.active()) return;
+  span.arg("framework", f.name());
+  span.arg("batch", static_cast<std::int64_t>(spec.batch_index));
 }
 }  // namespace
 
@@ -34,24 +33,40 @@ ShardStrategy parse_shard_strategy(const std::string& name) {
                               "' (expected range or tp)");
 }
 
+// Each phase is one always-timed obs::Span (not a GT_STAGE macro, which
+// GT_OBS_DISABLE removes): the report needs its interval either way.
+void Framework::prepare(const Dataset& data,
+                        const models::GnnModelConfig& model,
+                        const BatchSpec& spec, pipeline::BatchContext& ctx) {
+  obs::Span span("frameworks.prepare_batch", "frameworks",
+                 obs::live::Stage::kPrepare, /*always_timed=*/true);
+  tag_phase(span, *this, spec);
+  ctx.begin_batch();
+  prepare_batch(data, model, spec, ctx);
+  ctx.set_host_prepare_us(span.stop());
+}
+
+RunReport Framework::execute(const Dataset& data,
+                             const models::GnnModelConfig& model,
+                             models::ModelParams& params,
+                             const BatchSpec& spec,
+                             pipeline::BatchContext& ctx) {
+  obs::Span span("frameworks.run_batch", "frameworks",
+                 obs::live::Stage::kExecute, /*always_timed=*/true);
+  tag_phase(span, *this, spec);
+  RunReport report = execute_prepared(data, model, params, spec, ctx);
+  report.host_prepare_us = ctx.host_prepare_us();
+  report.host_execute_us = span.stop();
+  return report;
+}
+
 RunReport Framework::run_batch(const Dataset& data,
                                const models::GnnModelConfig& model,
                                models::ModelParams& params,
                                const BatchSpec& spec,
                                pipeline::BatchContext& ctx) {
-  ctx.begin_batch();
-  const auto t0 = std::chrono::steady_clock::now();
-  {
-    GT_LIVE_STAGE(kPrepare);
-    prepare_batch(data, model, spec, ctx);
-  }
-  const double prepare_us = elapsed_us(t0);
-  const auto t1 = std::chrono::steady_clock::now();
-  GT_LIVE_STAGE(kExecute);
-  RunReport report = execute_prepared(data, model, params, spec, ctx);
-  report.host_execute_us = elapsed_us(t1);
-  report.host_prepare_us = prepare_us;
-  return report;
+  prepare(data, model, spec, ctx);
+  return execute(data, model, params, spec, ctx);
 }
 
 RunReport Framework::run_batch(const Dataset& data,

@@ -109,8 +109,8 @@ struct RunReport {
   // Real (steady_clock) host time spent running this batch, as opposed to
   // the *simulated* times above. Varies run to run with machine load and
   // the compute-engine thread count; equivalence checks must ignore it.
-  double host_prepare_us = 0.0;  // prepare_batch wall-clock
-  double host_execute_us = 0.0;  // execute_prepared wall-clock
+  double host_prepare_us = 0.0;  // Framework::prepare wall-clock
+  double host_execute_us = 0.0;  // Framework::execute wall-clock
 
   // -- Batch context (arena) -------------------------------------------------
   // Per-batch values (peak/allocations) are batch-intrinsic and identical
@@ -172,26 +172,28 @@ class Framework {
     return config.budget_bytes == 0;
   }
 
-  /// Phase 1 — parameter-independent preprocessing (sample, reindex,
-  /// lookup, schedule pricing) into `ctx`'s reusable storage. Safe to run
-  /// concurrently for different batches on *distinct* contexts; never
-  /// touches model parameters or framework state.
-  virtual void prepare_batch(const Dataset& data,
-                             const models::GnnModelConfig& model,
-                             const BatchSpec& spec,
-                             pipeline::BatchContext& ctx) = 0;
+  /// Phase 1 — ctx.begin_batch() (which doubles as the quarantine reset
+  /// after a failed attempt), then parameter-independent preprocessing
+  /// (sample, reindex, lookup, schedule pricing) into `ctx`. Safe to run
+  /// concurrently on *distinct* contexts; never touches model parameters
+  /// or framework state.
+  void prepare(const Dataset& data, const models::GnnModelConfig& model,
+               const BatchSpec& spec, pipeline::BatchContext& ctx);
 
   /// Phase 2 — device compute, loss, backward, and SGD from a prepared
   /// context. Mutates `params` and framework state (cost model, caches):
   /// callers must invoke it serially, in batch order, for determinism.
   /// Must not throw on GPU OOM — reports it.
-  virtual RunReport execute_prepared(const Dataset& data,
-                                     const models::GnnModelConfig& model,
-                                     models::ModelParams& params,
-                                     const BatchSpec& spec,
-                                     pipeline::BatchContext& ctx) = 0;
+  ///
+  /// Each phase is timed once: the same interval is its span
+  /// (frameworks.prepare_batch / frameworks.run_batch), its profiler stage
+  /// (kPrepare / kExecute) and RunReport::host_prepare_us /
+  /// host_execute_us (the former carried across in `ctx`).
+  RunReport execute(const Dataset& data, const models::GnnModelConfig& model,
+                    models::ModelParams& params, const BatchSpec& spec,
+                    pipeline::BatchContext& ctx);
 
-  /// Train one batch end to end in `ctx`: begin_batch + prepare + execute.
+  /// Train one batch end to end in `ctx`: prepare + execute.
   RunReport run_batch(const Dataset& data, const models::GnnModelConfig& model,
                       models::ModelParams& params, const BatchSpec& spec,
                       pipeline::BatchContext& ctx);
@@ -200,6 +202,18 @@ class Framework {
   /// scratch context (so repeated calls still reuse buffers).
   RunReport run_batch(const Dataset& data, const models::GnnModelConfig& model,
                       models::ModelParams& params, const BatchSpec& spec);
+
+ protected:
+  /// The backend's phase bodies, reached only through prepare()/execute().
+  virtual void prepare_batch(const Dataset& data,
+                             const models::GnnModelConfig& model,
+                             const BatchSpec& spec,
+                             pipeline::BatchContext& ctx) = 0;
+  virtual RunReport execute_prepared(const Dataset& data,
+                                     const models::GnnModelConfig& model,
+                                     models::ModelParams& params,
+                                     const BatchSpec& spec,
+                                     pipeline::BatchContext& ctx) = 0;
 
  private:
   std::unique_ptr<pipeline::BatchContext> scratch_ctx_;

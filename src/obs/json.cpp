@@ -41,8 +41,14 @@ class Parser {
   bool value(JsonValue* out) {
     if (pos_ >= s_.size()) return fail("unexpected end of input");
     switch (s_[pos_]) {
-      case '{': return object(out);
-      case '[': return array(out);
+      case '{':
+      case '[': {
+        if (depth_ == kJsonMaxDepth) return fail("nesting too deep");
+        ++depth_;
+        const bool ok = s_[pos_] == '{' ? object(out) : array(out);
+        --depth_;
+        return ok;
+      }
       case '"': {
         std::string s;
         if (!string(&s)) return false;
@@ -217,6 +223,7 @@ class Parser {
   std::string_view s_;
   std::string* error_;
   std::size_t pos_ = 0;
+  std::size_t depth_ = 0;  // open arrays/objects enclosing pos_
 };
 
 }  // namespace
@@ -226,12 +233,6 @@ bool json_parse(std::string_view text, JsonValue* out, std::string* error) {
   if (p.parse(out)) return true;
   *out = JsonValue();
   return false;
-}
-
-JsonValue json_parse_or_null(std::string_view text) {
-  JsonValue v;
-  json_parse(text, &v);
-  return v;
 }
 
 bool json_parse_file(const std::string& path, JsonValue* out,

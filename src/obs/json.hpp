@@ -8,6 +8,7 @@
 // plain recursive variant with no arena tricks.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <memory>
 #include <string>
@@ -87,13 +88,16 @@ class JsonValue {
   std::shared_ptr<JsonObject> obj_;
 };
 
+/// Deepest array/object nesting json_parse accepts (`[]` is depth 1). The
+/// parser recurses once per level, so the cap bounds its stack use; every
+/// document the repo writes nests fewer than 10 levels.
+inline constexpr std::size_t kJsonMaxDepth = 256;
+
 /// Parse one complete JSON document. On failure returns null and, when
 /// `error` is non-null, stores a byte offset + message description.
+/// Nesting deeper than kJsonMaxDepth is a parse error.
 bool json_parse(std::string_view text, JsonValue* out,
                 std::string* error = nullptr);
-
-/// Convenience: parse or return a null value (errors discarded).
-JsonValue json_parse_or_null(std::string_view text);
 
 /// Read and parse a whole file; false on IO or parse failure.
 bool json_parse_file(const std::string& path, JsonValue* out,

@@ -15,28 +15,29 @@
 // (busy / wall since enable) and skew (max busy / mean busy), and exposes
 // the aggregates as gauges plus a per-worker array in the snapshot JSON.
 //
-// Cost model: when the profiler is disabled (the default) a StageTimer is
-// one relaxed atomic load; GT_OBS_DISABLE compiles the GT_LIVE_STAGE
-// macro away entirely (same contract as GT_OBS_SCOPE).
+// Stage time is recorded only by obs::Span stage scopes (GT_STAGE in
+// obs/trace.hpp), so every stage total is the sum of intervals the trace
+// shows as spans. When the profiler is disabled (the default) a stage
+// scope spends one relaxed atomic load on it.
 #pragma once
 
 #include <array>
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <vector>
 
 namespace gt::obs::live {
 
+/// Each stage's span twin in the trace is named after the colon.
 enum class Stage : int {
-  kPrepare = 0,  // whole prepare_batch (preprocessing) phase
-  kExecute,      // whole execute_prepared (device compute + SGD) phase
-  kSample,       // S — neighbor sampling
-  kReindex,      // R — per-layer reindexing
-  kLookup,       // K — embedding gather
-  kTransfer,     // T — host-to-device upload (session open)
-  kForward,      // FWP kernel issue
-  kBackward,     // BWP kernel issue
+  kPrepare = 0,  // whole prepare phase: frameworks.prepare_batch
+  kExecute,      // whole execute phase: frameworks.run_batch
+  kSample,       // S — neighbor sampling: S.sample, S.A, S.H
+  kReindex,      // R — per-layer reindexing: R.layer
+  kLookup,       // K — embedding gather: K.lookup, K.chunk
+  kTransfer,     // T — host-to-device upload at session open: T.upload
+  kForward,      // FWP kernel issue: frameworks.forward
+  kBackward,     // BWP kernel issue: frameworks.backward
 };
 inline constexpr std::size_t kNumStages = 8;
 
@@ -61,7 +62,7 @@ class WorkerProfiler {
   }
 
   /// Add `ns` of stage time to the calling thread's slot. Callers should
-  /// gate on enabled() (StageTimer does).
+  /// gate on enabled() (obs::Span does).
   void add(Stage s, std::uint64_t ns) noexcept;
 
   /// Wall nanoseconds since the last enable(true) (0 if never enabled).
@@ -99,45 +100,4 @@ class WorkerProfiler {
   std::atomic<std::int64_t> epoch_ns_{0};  // steady_clock at enable
 };
 
-/// RAII wall-clock stage timer on the current thread's slot. One relaxed
-/// atomic load when the profiler is disabled.
-class StageTimer {
- public:
-  explicit StageTimer(Stage s) noexcept {
-    WorkerProfiler& p = WorkerProfiler::global();
-    if (!p.enabled()) return;
-    profiler_ = &p;
-    stage_ = s;
-    start_ = std::chrono::steady_clock::now();
-  }
-  ~StageTimer() {
-    if (profiler_ == nullptr) return;
-    const auto end = std::chrono::steady_clock::now();
-    profiler_->add(stage_, static_cast<std::uint64_t>(
-                               std::chrono::duration_cast<
-                                   std::chrono::nanoseconds>(end - start_)
-                                   .count()));
-  }
-  StageTimer(const StageTimer&) = delete;
-  StageTimer& operator=(const StageTimer&) = delete;
-
- private:
-  WorkerProfiler* profiler_ = nullptr;
-  Stage stage_ = Stage::kPrepare;
-  std::chrono::steady_clock::time_point start_{};
-};
-
 }  // namespace gt::obs::live
-
-// Scoped stage-timer macro: compiles to nothing under GT_OBS_DISABLE
-// (same zero-cost contract as GT_OBS_SCOPE in obs/trace.hpp).
-#define GT_LIVE_CONCAT_INNER_(a, b) a##b
-#define GT_LIVE_CONCAT_(a, b) GT_LIVE_CONCAT_INNER_(a, b)
-#ifndef GT_OBS_DISABLE
-#define GT_LIVE_STAGE(stage)                                 \
-  ::gt::obs::live::StageTimer GT_LIVE_CONCAT_(gt_live_stage_, \
-                                              __LINE__)(     \
-      ::gt::obs::live::Stage::stage)
-#else
-#define GT_LIVE_STAGE(stage) ((void)0)
-#endif

@@ -11,7 +11,7 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-// Tracer epoch; initialized when the tracer singleton first exists.
+// Tracer epoch; pinned when the tracer singleton is created.
 Clock::time_point process_epoch() {
   static const Clock::time_point epoch = Clock::now();
   return epoch;
@@ -23,15 +23,10 @@ thread_local void* tls_buffer = nullptr;
 }  // namespace
 
 Tracer& Tracer::global() {
-  // Leaked: instrumented code may run during static destruction.
-  static Tracer* t = new Tracer();
+  // Leaked: instrumented code may run during static destruction. The
+  // epoch is pinned first, so no span can start before it.
+  static Tracer* t = (process_epoch(), new Tracer());
   return *t;
-}
-
-double Tracer::now_us() const {
-  return std::chrono::duration<double, std::micro>(Clock::now() -
-                                                   process_epoch())
-      .count();
 }
 
 Tracer::ThreadBuffer& Tracer::local_buffer() {
@@ -44,8 +39,6 @@ Tracer::ThreadBuffer& Tracer::local_buffer() {
   tls_buffer = buffers_.back().get();
   return *buffers_.back();
 }
-
-std::uint32_t Tracer::thread_id() { return local_buffer().tid; }
 
 void Tracer::emit(TraceEvent e) {
   ThreadBuffer& buf = local_buffer();
@@ -169,22 +162,29 @@ void Tracer::clear() {
 
 // ---- Span -------------------------------------------------------------------
 
-void Span::begin(Tracer& t, const char* name, const char* cat) {
-  tracer_ = &t;
-  name_ = name;
-  cat_ = cat;
-  start_us_ = t.now_us();
-}
-
-void Span::end() {
-  TraceEvent e;
-  e.name = name_;
-  e.cat = cat_;
-  e.ts_us = start_us_;
-  e.dur_us = tracer_->now_us() - start_us_;
-  e.args_json = std::move(args_);
-  tracer_->emit(std::move(e));
-  tracer_ = nullptr;
+double Span::stop() {
+  if (!timed_) return 0.0;
+  timed_ = false;
+  const Clock::duration d = Clock::now() - start_;
+  if (profiler_ != nullptr)
+    profiler_->add(stage_, static_cast<std::uint64_t>(
+                               std::chrono::duration_cast<
+                                   std::chrono::nanoseconds>(d)
+                                   .count()));
+  const double us = std::chrono::duration<double, std::micro>(d).count();
+  if (tracer_ != nullptr) {
+    TraceEvent e;
+    e.name = name_;
+    e.cat = cat_;
+    e.ts_us = std::chrono::duration<double, std::micro>(start_ -
+                                                        process_epoch())
+                  .count();
+    e.dur_us = us;
+    e.args_json = std::move(args_);
+    tracer_->emit(std::move(e));
+    tracer_ = nullptr;
+  }
+  return us;
 }
 
 void Span::arg(const char* key, std::int64_t v) {

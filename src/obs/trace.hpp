@@ -12,12 +12,18 @@
 // The export is Chrome trace-event JSON ("X" complete events plus "M"
 // thread-name metadata), loadable in chrome://tracing or Perfetto.
 //
+// A Span is also the only recorder of WorkerProfiler stages: a scope given
+// a live::Stage feeds its trace event and the thread's profiler slot from
+// one pair of clock reads, so stage totals and spans agree exactly.
+//
 // Cost model: when tracing is disabled (the default) a Span construction
-// is one relaxed atomic load; defining GT_OBS_DISABLE compiles the
-// GT_OBS_SCOPE macros away entirely.
+// is one relaxed atomic load (two for a stage scope, whose profiler may be
+// armed on its own); defining GT_OBS_DISABLE compiles the GT_OBS_SCOPE and
+// GT_STAGE macros away entirely.
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -25,6 +31,8 @@
 #include <string>
 #include <string_view>
 #include <vector>
+
+#include "obs/live/worker_profiler.hpp"
 
 namespace gt::obs {
 
@@ -64,9 +72,6 @@ class Tracer {
     return enabled_.load(std::memory_order_relaxed);
   }
 
-  /// Wall-clock microseconds since this tracer's construction.
-  double now_us() const;
-
   /// Append an event to the calling thread's buffer. `e.tid == 0` on the
   /// wall pid is replaced with the thread's registered id.
   void emit(TraceEvent e);
@@ -77,9 +82,6 @@ class Tracer {
 
   /// Name a simulated-timeline lane ("cpu0", "pcie", "gpu"). Idempotent.
   void set_sim_thread_name(std::uint32_t tid, std::string name);
-
-  /// Small sequential id of the calling thread (registered on first use).
-  std::uint32_t thread_id();
 
   std::size_t event_count() const;
   /// Merged copy of all per-thread buffers, for tests and exporters.
@@ -112,19 +114,34 @@ class Tracer {
   std::uint32_t next_tid_ = 1;
 };
 
-/// RAII wall-clock span. Captures the enabled flag at construction; when
-/// tracing is off the whole object is one atomic load.
+/// RAII wall-clock scope. Reads the clock only if the tracer (or, for a
+/// stage scope, the profiler) is on at construction, or `always_timed`:
+/// a phase scope whose caller takes the interval from stop().
 class Span {
  public:
-  Span(const char* name, const char* cat) {
+  using Clock = std::chrono::steady_clock;
+
+  Span(const char* name, const char* cat) : name_(name), cat_(cat) {
     Tracer& t = Tracer::global();
     if (!t.enabled()) return;
-    begin(t, name, cat);
+    tracer_ = &t;
+    start();
+  }
+  /// Also adds the interval to `stage` on this thread's profiler slot.
+  Span(const char* name, const char* cat, live::Stage stage,
+       bool always_timed = false)
+      : name_(name), cat_(cat), stage_(stage) {
+    Tracer& t = Tracer::global();
+    if (t.enabled()) tracer_ = &t;
+    live::WorkerProfiler& p = live::WorkerProfiler::global();
+    if (p.enabled()) profiler_ = &p;
+    if (tracer_ != nullptr || profiler_ != nullptr || always_timed) start();
   }
   Span(const Span&) = delete;
   Span& operator=(const Span&) = delete;
-  ~Span() { if (tracer_ != nullptr) end(); }
+  ~Span() { if (timed_) stop(); }
 
+  /// True while the scope will emit a trace event.
   bool active() const noexcept { return tracer_ != nullptr; }
 
   /// Attach args (no-ops when inactive).
@@ -132,14 +149,23 @@ class Span {
   void arg(const char* key, double v);
   void arg(const char* key, std::string_view v);
 
+  /// End the interval now, for the trace event and the profiler alike;
+  /// returns it in microseconds (0 if untimed). Idempotent.
+  double stop();
+
  private:
-  void begin(Tracer& t, const char* name, const char* cat);
-  void end();
+  void start() noexcept {
+    timed_ = true;
+    start_ = Clock::now();
+  }
 
   Tracer* tracer_ = nullptr;
-  double start_us_ = 0.0;
-  const char* name_ = nullptr;
-  const char* cat_ = nullptr;
+  live::WorkerProfiler* profiler_ = nullptr;
+  bool timed_ = false;
+  Clock::time_point start_{};
+  const char* name_;
+  const char* cat_;
+  live::Stage stage_ = live::Stage::kPrepare;
   std::string args_;
 };
 
@@ -160,13 +186,17 @@ void json_escape(std::string_view s, std::string& out);
 // latency-critical build can prove zero instrumentation cost.
 #define GT_OBS_CONCAT_INNER_(a, b) a##b
 #define GT_OBS_CONCAT_(a, b) GT_OBS_CONCAT_INNER_(a, b)
+// GT_STAGE: a named span that is also a live::Stage (e.g. kSample).
 #ifndef GT_OBS_DISABLE
 #define GT_OBS_SCOPE(name, cat) \
   ::gt::obs::Span GT_OBS_CONCAT_(gt_obs_span_, __LINE__)(name, cat)
 #define GT_OBS_SCOPE_N(var, name, cat) ::gt::obs::Span var(name, cat)
+#define GT_STAGE(var, stage, name, cat) \
+  ::gt::obs::Span var(name, cat, ::gt::obs::live::Stage::stage)
 #else
 #define GT_OBS_SCOPE(name, cat) ((void)0)
 #define GT_OBS_SCOPE_N(var, name, cat) \
   ::gt::obs::NullSpan var;             \
   (void)var
+#define GT_STAGE(var, stage, name, cat) GT_OBS_SCOPE_N(var, name, cat)
 #endif

@@ -9,6 +9,7 @@ void BatchContext::begin_batch() {
   arena_.reset();
   preproc_.clear_for_reuse();
   prefetch_armed_ = false;
+  host_prepare_us_ = 0.0;
   cache_hierarchy_ = nullptr;
   alloc_snapshot_ = arena_.stats().allocations;
   growth_snapshot_ = arena_.stats().growths;

@@ -95,6 +95,12 @@ class BatchContext {
     return prefetch_armed_ && prefetch_batch_ == batch_index;
   }
 
+  /// Host wall-clock of this batch's prepare phase, stamped by
+  /// Framework::prepare and copied into RunReport::host_prepare_us by
+  /// Framework::execute. Zeroed by begin_batch().
+  double host_prepare_us() const noexcept { return host_prepare_us_; }
+  void set_host_prepare_us(double us) noexcept { host_prepare_us_ = us; }
+
   /// Cached preprocessing executor, rebuilt only when the keyed
   /// configuration (graph, embeddings, fanout, layers, seed, formats)
   /// changes, so steady-state batches reuse the sampler/lookup setup.
@@ -125,6 +131,7 @@ class BatchContext {
   sampling::CacheHierarchy* cache_hierarchy_ = nullptr;
   bool prefetch_armed_ = false;
   std::uint64_t prefetch_batch_ = 0;
+  double host_prepare_us_ = 0.0;
 
   std::uint64_t batches_begun_ = 0;
   std::uint64_t alloc_snapshot_ = 0;

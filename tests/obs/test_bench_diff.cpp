@@ -133,6 +133,17 @@ TEST_F(BenchDiffCli, ExitCodesForCleanRegressedAndUnreadable) {
   EXPECT_EQ(run_bench_diff(base, "/nonexistent/nope.json", 0.05, out), 2);
 }
 
+TEST_F(BenchDiffCli, DeeplyNestedReportIsUnreadableNotACrash) {
+  const std::string deep = ::testing::TempDir() + "gt_bench_diff_deep.json";
+  cleanup_.push_back(deep);
+  {
+    std::ofstream os(deep);
+    os << std::string(200000, '[') << std::string(200000, ']') << "\n";
+  }
+  std::ostringstream out;
+  EXPECT_EQ(run_bench_diff(deep, deep, 0.05, out), 2);
+}
+
 TEST_F(BenchDiffCli, MissingBaselineRowIsIncompleteNotRegressed) {
   BenchReporter& r = BenchReporter::global();
   r.clear();

@@ -18,6 +18,7 @@
 #include "obs/live/watchdog.hpp"
 #include "obs/live/worker_profiler.hpp"
 #include "obs/metrics.hpp"
+#include "obs/trace.hpp"
 #include "util/log.hpp"
 #include "json_checker.hpp"
 
@@ -263,30 +264,54 @@ TEST(WorkerProfiler, AccumulatesPerThreadSlots) {
   EXPECT_GE(prof.active_slots(), 2u);
 }
 
-TEST(WorkerProfiler, StageTimerNoOpWhenDisabled) {
+TEST(WorkerProfiler, StageScopeNoOpWhenDisabled) {
   WorkerProfiler& prof = WorkerProfiler::global();
   prof.reset();
   prof.enable(false);
+  ASSERT_FALSE(Tracer::global().enabled());
   {
-    StageTimer t(Stage::kLookup);
+    Span s("test.lookup", "test", Stage::kLookup);
+    EXPECT_FALSE(s.active());
+    EXPECT_EQ(s.stop(), 0.0);  // nothing on: the clock was never read
   }
-  { GT_LIVE_STAGE(kLookup); }
+  { GT_STAGE(s, kLookup, "test.lookup", "test"); }
+  EXPECT_EQ(prof.stage_totals()[static_cast<std::size_t>(Stage::kLookup)],
+            0u);
+  // A phase scope reads the clock even with both sinks off.
+  Span phase("test.phase", "test", Stage::kLookup, /*always_timed=*/true);
+  std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  EXPECT_GT(phase.stop(), 0.0);
   EXPECT_EQ(prof.stage_totals()[static_cast<std::size_t>(Stage::kLookup)],
             0u);
 }
 
-TEST(WorkerProfiler, StageTimerRecordsWhenEnabled) {
+TEST(WorkerProfiler, StageScopeRecordsWhenEnabled) {
   WorkerProfiler& prof = WorkerProfiler::global();
+  Tracer& tracer = Tracer::global();
   prof.reset();
+  tracer.clear();
   prof.enable(true);
+  tracer.enable(true);
+  double us = 0.0;
   {
-    StageTimer t(Stage::kReindex);
+    Span s("test.reindex", "test", Stage::kReindex);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    us = s.stop();
+    EXPECT_EQ(s.stop(), 0.0);  // stop is idempotent; the dtor adds nothing
   }
+  tracer.enable(false);
   prof.enable(false);
-  EXPECT_GT(prof.stage_totals()[static_cast<std::size_t>(Stage::kReindex)],
-            0u);
+  const std::uint64_t ns =
+      prof.stage_totals()[static_cast<std::size_t>(Stage::kReindex)];
+  EXPECT_GT(ns, 0u);
   EXPECT_GT(prof.wall_since_enable_ns(), 0u);
+  // One pair of clock reads fed the span, the profiler and stop().
+  const std::vector<TraceEvent> events = tracer.snapshot();
+  ASSERT_EQ(events.size(), 1u);
+  EXPECT_EQ(events[0].name, "test.reindex");
+  EXPECT_EQ(events[0].dur_us, us);
+  EXPECT_NEAR(static_cast<double>(ns), us * 1e3, 1.0);
+  tracer.clear();
   prof.reset();
 }
 

@@ -49,6 +49,24 @@ TEST(JsonParser, AcceptsValuesAndReportsErrors) {
   EXPECT_FALSE(json_parse("[1,2] trailing", &v, &err));
 }
 
+TEST(JsonParser, NestingPastTheDepthCapIsAParseError) {
+  auto nested = [](std::size_t depth) {
+    std::string s;
+    for (std::size_t i = 0; i < depth; ++i) s += i % 2 == 0 ? "[" : "{\"k\":";
+    s += "1";
+    for (std::size_t i = depth; i-- > 0;) s += i % 2 == 0 ? "]" : "}";
+    return s;
+  };
+  JsonValue v;
+  std::string err;
+  ASSERT_TRUE(json_parse(nested(kJsonMaxDepth), &v, &err)) << err;
+  EXPECT_TRUE(v.is_array());
+
+  EXPECT_FALSE(json_parse(nested(kJsonMaxDepth + 1), &v, &err));
+  EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+  EXPECT_TRUE(v.is_null());
+}
+
 TEST(BenchReporter, RowsInheritContextFigure) {
   BenchReporter& r = fresh_global();
   r.set_context("Fig X", "a test figure");

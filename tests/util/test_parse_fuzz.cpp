@@ -268,5 +268,23 @@ TEST(ParseFuzz, JsonParseOnlyReturnsTrueOrFalse) {
   }
 }
 
+TEST(ParseFuzz, JsonParseRejectsDeepNestingWithoutOverflowingTheStack) {
+  // The parser recurses once per level: without the depth cap, documents
+  // like these overflow the stack.
+  constexpr std::size_t kDepth = 200000;
+  std::string arrays(kDepth, '[');
+  arrays.append(kDepth, ']');
+  std::string objects;
+  for (std::size_t i = 0; i < kDepth; ++i) objects += "{\"k\":";
+  objects += "0";
+  objects.append(kDepth, '}');
+  for (const std::string* text : {&arrays, &objects}) {
+    obs::JsonValue v;
+    std::string err;
+    EXPECT_FALSE(obs::json_parse(*text, &v, &err));
+    EXPECT_NE(err.find("nesting too deep"), std::string::npos) << err;
+  }
+}
+
 }  // namespace
 }  // namespace gt
