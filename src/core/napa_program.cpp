@@ -1,6 +1,7 @@
 #include "core/napa_program.hpp"
 
 #include <stdexcept>
+#include <string>
 
 namespace gt {
 
@@ -34,6 +35,10 @@ NapaProgram& NapaProgram::classes(std::uint32_t dim) {
 models::GnnModelConfig NapaProgram::build() const {
   if (config_.num_layers == 0)
     throw std::invalid_argument("NapaProgram: needs at least one layer");
+  if (config_.num_layers > models::kMaxLayers)
+    throw std::invalid_argument("NapaProgram: more than " +
+                                std::to_string(models::kMaxLayers) +
+                                " layers");
   if (config_.hidden_dim == 0 || config_.output_dim == 0)
     throw std::invalid_argument("NapaProgram: zero-width layer");
   if (config_.name.empty())

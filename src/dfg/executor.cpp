@@ -40,14 +40,14 @@ LayerForward LayerExecutor::forward(const LayerDeviceGraph& graph,
   return fwd;
 }
 
-LayerBackward LayerExecutor::backward(const LayerDeviceGraph& graph,
-                                      gpusim::BufferId x,
-                                      const LayerParams& params, bool relu,
-                                      const LayerForward& fwd,
-                                      gpusim::BufferId dy, bool want_dx) {
+napa::DenseGrads LayerExecutor::backward(const LayerDeviceGraph& graph,
+                                         gpusim::BufferId x,
+                                         const LayerParams& params, bool relu,
+                                         const LayerForward& fwd,
+                                         gpusim::BufferId dy, bool want_dx) {
   GT_OBS_SCOPE_N(span, "dfg.layer_backward", "dfg");
   span.arg("order", to_string(fwd.order));
-  LayerBackward grads;
+  napa::DenseGrads grads;
   if (fwd.order == KernelOrder::kAggregationFirst) {
     // dY -> (relu, bias, matmul) -> dA -> (pull, neighbor-apply) -> dX.
     const bool need_da = want_dx;

@@ -1,8 +1,10 @@
 // Layer executor for GraphTensor models: runs one GNN layer's NAPA kernels
 // in either kernel order (aggregation-first or the Cost-DKP rewritten
 // combination-first), forward and backward, caching exactly what backward
-// needs. The frameworks module composes this per layer; baselines use their
-// own kernel pipelines.
+// needs. These are the GraphTensor backends' per-layer bodies: the
+// training step around them (FWP -> loss -> BWP, SGD staging) is the one
+// frameworks::detail::run_layers every backend shares, and the baselines
+// plug their DL-/Graph-approach layer bodies into the same driver.
 #pragma once
 
 #include "dfg/cost_model.hpp"
@@ -30,12 +32,6 @@ struct LayerForward {
   gpusim::BufferId pre_act = gpusim::kInvalidBuffer;
 };
 
-struct LayerBackward {
-  gpusim::BufferId dx = gpusim::kInvalidBuffer;  // invalid when skipped
-  gpusim::BufferId dw = gpusim::kInvalidBuffer;
-  gpusim::BufferId db = gpusim::kInvalidBuffer;
-};
-
 class LayerExecutor {
  public:
   LayerExecutor(gpusim::Device& dev, kernels::AggMode f,
@@ -49,11 +45,13 @@ class LayerExecutor {
                        KernelOrder order);
 
   /// Backward through a forward() result. `want_dx == false` (first GNN
-  /// layer) lets aggregation-first skip the graph traversal entirely.
-  LayerBackward backward(const LayerDeviceGraph& graph, gpusim::BufferId x,
-                         const LayerParams& params, bool relu,
-                         const LayerForward& fwd, gpusim::BufferId dy,
-                         bool want_dx);
+  /// layer) lets aggregation-first skip the graph traversal entirely; dx
+  /// is then kInvalidBuffer.
+  kernels::napa::DenseGrads backward(const LayerDeviceGraph& graph,
+                                     gpusim::BufferId x,
+                                     const LayerParams& params, bool relu,
+                                     const LayerForward& fwd,
+                                     gpusim::BufferId dy, bool want_dx);
 
   /// Release the cached buffers of a forward result (not `out`).
   void release_cache(const LayerForward& fwd);

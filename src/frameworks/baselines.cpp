@@ -20,20 +20,20 @@ namespace napa = kernels::napa;
 BaselineOptions pyg_options() {
   BaselineOptions o;
   o.compute = BaselineOptions::Compute::kDl;
-  o.strategy = pipeline::PreprocStrategy::kSerial;
+  o.plan.strategy = pipeline::PreprocStrategy::kSerial;
   return o;
 }
 
 BaselineOptions pyg_mt_options() {
   BaselineOptions o = pyg_options();
-  o.strategy = pipeline::PreprocStrategy::kParallelTasks;
+  o.plan.strategy = pipeline::PreprocStrategy::kParallelTasks;
   return o;
 }
 
 BaselineOptions dgl_options() {
   BaselineOptions o;
   o.compute = BaselineOptions::Compute::kGraph;
-  o.strategy = pipeline::PreprocStrategy::kParallelTasks;
+  o.plan.strategy = pipeline::PreprocStrategy::kParallelTasks;
   o.overlap_compute = true;
   return o;
 }
@@ -41,21 +41,24 @@ BaselineOptions dgl_options() {
 BaselineOptions gnnadvisor_options() {
   BaselineOptions o;
   o.compute = BaselineOptions::Compute::kAdvisor;
-  o.strategy = pipeline::PreprocStrategy::kSerial;
+  o.plan.strategy = pipeline::PreprocStrategy::kSerial;
   return o;
 }
 
 BaselineOptions salient_options() {
   BaselineOptions o;
   o.compute = BaselineOptions::Compute::kDl;
-  o.strategy = pipeline::PreprocStrategy::kParallelTasks;
-  o.pinned_memory = true;
-  o.pipelined_kt = true;
+  o.plan.strategy = pipeline::PreprocStrategy::kParallelTasks;
+  o.plan.pinned_memory = true;
+  o.plan.pipelined_kt = true;
   o.overlap_compute = true;
   return o;
 }
 
 namespace {
+
+/// Neighbors per group in GNNAdvisor's neighbor-group aggregation.
+constexpr std::size_t kAdvisorGroupSize = 4;
 
 /// Per-layer forward artifacts a baseline retains for its backward pass.
 struct LayerCache {
@@ -72,7 +75,6 @@ struct LayerCache {
 struct LayerIo {
   gpusim::Device& dev;
   const models::GnnModelConfig& model;
-  const BaselineOptions& opt;
 };
 
 LayerCache forward_dl(LayerIo io, const kernels::DeviceCsr& csr, BufferId x,
@@ -84,8 +86,8 @@ LayerCache forward_dl(LayerIo io, const kernels::DeviceCsr& csr, BufferId x,
   const EdgeWeightMode g = io.model.g;
   if (!comb_first) {
     if (advisor && g == EdgeWeightMode::kNone) {
-      cache.aggr = dl::aggregate_neighbor_groups(io.dev, csr, x, f,
-                                                 io.opt.advisor_group_size);
+      cache.aggr =
+          dl::aggregate_neighbor_groups(io.dev, csr, x, f, kAdvisorGroupSize);
     } else {
       cache.aggr = dl::forward_aggregate(io.dev, csr, x, f, g, &cache.weights);
     }
@@ -97,7 +99,7 @@ LayerCache forward_dl(LayerIo io, const kernels::DeviceCsr& csr, BufferId x,
   cache.transformed = napa::apply_matmul(io.dev, x, w);
   if (advisor) {
     cache.aggr = dl::aggregate_neighbor_groups(io.dev, csr, cache.transformed,
-                                               f, io.opt.advisor_group_size);
+                                               f, kAdvisorGroupSize);
   } else {
     BufferId unused = kInvalidBuffer;
     cache.aggr = dl::forward_aggregate(io.dev, csr, cache.transformed, f,
@@ -231,20 +233,12 @@ sampling::ReindexFormats BaselineFramework::reindex_formats() const {
   return formats;
 }
 
-pipeline::PlanOptions BaselineFramework::plan_options() const {
-  pipeline::PlanOptions plan;
-  plan.strategy = options_.strategy;
-  plan.pinned_memory = options_.pinned_memory;
-  plan.pipelined_kt = options_.pipelined_kt;
-  return plan;
-}
-
 void BaselineFramework::prepare_batch(const Dataset& data,
                                       const models::GnnModelConfig& model,
                                       const BatchSpec& spec,
                                       pipeline::BatchContext& ctx) {
   detail::preprocess_into(data, spec, model.num_layers, reindex_formats(),
-                          plan_options(), ctx);
+                          options_.plan, ctx);
 }
 
 RunReport BaselineFramework::execute_prepared(
@@ -255,90 +249,55 @@ RunReport BaselineFramework::execute_prepared(
   report.framework = name_;
   report.model = model.name;
   report.dataset = data.spec.name;
+  report.input_table_bytes = ctx.preproc().embeddings.bytes();
 
-  const std::uint32_t L = model.num_layers;
   const bool graph_compute =
       options_.compute == BaselineOptions::Compute::kGraph;
-  const sampling::ReindexFormats formats = reindex_formats();
-
-  pipeline::PreprocResult& pre = ctx.preproc();
-  report.input_table_bytes = pre.embeddings.bytes();
-
+  const bool advisor = options_.compute == BaselineOptions::Compute::kAdvisor;
   // Explicit combination-first programming exists only for unweighted
   // models in the baselines' user code.
   const bool comb_first = spec.order == OrderPolicy::kCombinationFirst &&
                           model.g == EdgeWeightMode::kNone;
+  const std::vector<dfg::KernelOrder> orders(
+      model.num_layers, comb_first ? dfg::KernelOrder::kCombinationFirst
+                                   : dfg::KernelOrder::kAggregationFirst);
 
   // SGD updates are staged and committed only when the batch reaches a
   // reported outcome; a faulted attempt the service retries must leave
   // the parameters untouched (see detail::SgdStage).
   detail::SgdStage sgd(params, spec.learning_rate);
   try {
-    auto session = detail::open_session(pre, params, formats);
+    auto session = detail::open_session(ctx.preproc(), params,
+                                        reindex_formats());
     gpusim::Device& dev = session->dev;
-    LayerIo io{dev, model, options_};
-
+    LayerIo io{dev, model};
     std::vector<LayerCache> caches;
-    BufferId x = session->input;
-    dev.set_phase(gpusim::KernelPhase::kForward);
-    {
-      GT_STAGE(fwd_span, kForward, "frameworks.forward", "frameworks");
-      for (std::uint32_t l = 0; l < L; ++l) {
-        const bool relu = model.relu_at(l);
-        LayerCache cache =
-            graph_compute
-                ? forward_graph(io, session->coo[l], x, session->w[l],
-                                session->b[l], relu, comb_first)
-                : forward_dl(io, session->csr[l], x, session->w[l],
-                             session->b[l], relu, comb_first,
-                             options_.compute ==
-                                 BaselineOptions::Compute::kAdvisor);
-        if (comb_first)
-          report.layer_comb_first_fwd[l] = report.layer_comb_first_bwd[l] = 1;
-        x = cache.out;
-        caches.push_back(cache);
-      }
-    }
-
-    report.fwp_us = dev.profile_latency_us();
-
-    if (spec.inference) {
-      detail::finalize_report(report, dev, ctx.schedule(),
-                              options_.overlap_compute, &ctx);
-      return report;
-    }
-
-    // Loss + backward land past the fwp_us boundary and carry the
-    // backward phase tag, matching bwp_us = total - fwp_us below.
-    dev.set_phase(gpusim::KernelPhase::kBackward);
-    gpusim::BufferId dy = kInvalidBuffer;
-    report.loss = detail::loss_head(dev, x, pre, model.output_dim, spec.seed,
-                                    &dy, &ctx);
-
-    {
-      GT_STAGE(bwd_span, kBackward, "frameworks.backward", "frameworks");
-      for (std::uint32_t li = L; li-- > 0;) {
-        const BufferId x_in = li == 0 ? session->input : caches[li - 1].out;
-        const bool relu = model.relu_at(li);
-        const bool want_dx = li > 0;
-        napa::DenseGrads grads =
-            graph_compute
-                ? backward_graph(io, session->coo[li], x_in, session->w[li],
-                                 caches[li], dy, relu, want_dx)
-                : backward_dl(io, session->csr[li], x_in, session->w[li],
-                              caches[li], dy, relu, want_dx);
-        sgd.stage(dev, li, grads.dw, grads.db, ctx);
-        dev.free(grads.dw);
-        dev.free(grads.db);
-        dev.free(dy);
-        dy = grads.dx;
-        release_cache(dev, caches[li]);
-      }
-    }
-
-    report.bwp_us = dev.profile_latency_us() - report.fwp_us;
-    detail::finalize_report(report, dev, ctx.schedule(),
-                            options_.overlap_compute, &ctx);
+    const detail::LayerPasses passes{
+        [&](std::uint32_t l, BufferId x) {
+          const BufferId w = session->w[l], b = session->b[l];
+          const bool relu = model.relu_at(l);
+          caches.push_back(
+              graph_compute
+                  ? forward_graph(io, session->coo[l], x, w, b, relu,
+                                  comb_first)
+                  : forward_dl(io, session->csr[l], x, w, b, relu,
+                               comb_first, advisor));
+          return caches.back().out;
+        },
+        [&](std::uint32_t l, BufferId x_in, BufferId dy, bool want_dx) {
+          const bool relu = model.relu_at(l);
+          return graph_compute
+                     ? backward_graph(io, session->coo[l], x_in,
+                                      session->w[l], caches[l], dy, relu,
+                                      want_dx)
+                     : backward_dl(io, session->csr[l], x_in, session->w[l],
+                                   caches[l], dy, relu, want_dx);
+        },
+        [&](std::uint32_t l) { release_cache(dev, caches[l]); }};
+    std::vector<detail::LayerSlice> calls;
+    detail::run_layers(*session, model, spec, orders, passes, sgd, ctx,
+                       report, calls);
+    detail::finalize_report(report, dev, options_.overlap_compute, ctx);
   } catch (const gpusim::GpuOomError& e) {
     detail::record_oom(report, e, ctx);
   }

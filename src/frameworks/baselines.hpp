@@ -26,11 +26,8 @@ namespace gt::frameworks {
 struct BaselineOptions {
   enum class Compute { kDl, kGraph, kAdvisor };
   Compute compute = Compute::kDl;
-  pipeline::PreprocStrategy strategy = pipeline::PreprocStrategy::kSerial;
-  bool pinned_memory = false;
-  bool pipelined_kt = false;
+  pipeline::PlanOptions plan;
   bool overlap_compute = false;
-  std::size_t advisor_group_size = 4;
 };
 
 class BaselineFramework : public Framework {
@@ -53,7 +50,6 @@ class BaselineFramework : public Framework {
 
  private:
   sampling::ReindexFormats reindex_formats() const;
-  pipeline::PlanOptions plan_options() const;
 
   std::string name_;
   BaselineOptions options_;

@@ -108,6 +108,28 @@ void emit_sim_timeline(const RunReport& report, const gpusim::Device& dev,
   }
 }
 
+/// Softmax cross-entropy head over the batch's logits; labels are the
+/// deterministic synthetic labels of `ctx`'s original dst vertices.
+/// Returns the loss and uploads dL/dlogits as a device buffer. The logits
+/// download, the label vector, and the gradient all live in `ctx` (arena
+/// views / reused scratch), so the head allocates nothing once the context
+/// is warm.
+float loss_head(gpusim::Device& dev, gpusim::BufferId logits,
+                std::uint32_t num_classes, std::uint64_t seed,
+                gpusim::BufferId* dlogits, pipeline::BatchContext& ctx) {
+  const auto& vid_order = ctx.preproc().batch.vid_order;
+  MatrixView host_logits = kernels::download_matrix(dev, logits, ctx.arena());
+  std::vector<std::uint32_t>& labels = ctx.labels();
+  labels.clear();
+  labels.reserve(host_logits.rows());
+  for (std::size_t i = 0; i < host_logits.rows(); ++i)
+    labels.push_back(synthetic_label(vid_order[i], num_classes, seed));
+  MatrixView grad = ctx.arena().alloc(host_logits.rows(), host_logits.cols());
+  const float loss = softmax_cross_entropy_into(host_logits, labels, grad);
+  *dlogits = kernels::upload_matrix(dev, grad, "dlogits");
+  return loss;
+}
+
 }  // namespace
 
 gpusim::DeviceConfig eval_device_config() {
@@ -158,7 +180,6 @@ std::unique_ptr<DeviceSession> open_session(
     session->input =
         kernels::upload_matrix(dev, pre.embeddings, "input-table");
   }
-  session->input_table_bytes = pre.embeddings.bytes();
 
   for (const auto& layer : pre.layers) {
     if (formats.csr)
@@ -181,37 +202,58 @@ std::unique_ptr<DeviceSession> open_session(
   return session;
 }
 
-float loss_head(gpusim::Device& dev, gpusim::BufferId logits,
-                const pipeline::PreprocResult& data,
-                std::uint32_t num_classes, std::uint64_t seed,
-                gpusim::BufferId* dlogits, pipeline::BatchContext* ctx) {
-  if (ctx) {
-    // Hot path: logits, labels, and the gradient live in the context, so
-    // the loss head allocates nothing once the context is warm.
-    MatrixView host_logits = kernels::download_matrix(dev, logits,
-                                                      ctx->arena());
-    std::vector<std::uint32_t>& labels = ctx->labels();
-    labels.clear();
-    labels.reserve(host_logits.rows());
-    for (std::size_t i = 0; i < host_logits.rows(); ++i)
-      labels.push_back(
-          synthetic_label(data.batch.vid_order[i], num_classes, seed));
-    MatrixView grad =
-        ctx->arena().alloc(host_logits.rows(), host_logits.cols());
-    const float loss = softmax_cross_entropy_into(host_logits, labels, grad);
-    *dlogits = kernels::upload_matrix(dev, grad, "dlogits");
-    return loss;
+void run_layers(DeviceSession& session, const models::GnnModelConfig& model,
+                const BatchSpec& spec,
+                const std::vector<dfg::KernelOrder>& orders,
+                const LayerPasses& passes, SgdStage& sgd,
+                pipeline::BatchContext& ctx, RunReport& report,
+                std::vector<LayerSlice>& calls) {
+  gpusim::Device& dev = session.dev;
+  const std::uint32_t L = model.num_layers;
+  for (std::uint32_t l = 0; l < L; ++l)
+    if (orders[l] == dfg::KernelOrder::kCombinationFirst)
+      report.layer_comb_first_fwd[l] = report.layer_comb_first_bwd[l] = 1;
+
+  auto timed = [&](std::uint32_t l, bool backward, auto&& call) {
+    const double before = dev.profile_latency_us();
+    const std::size_t lo = dev.profile().size();
+    auto result = call();
+    calls.push_back({l, backward, lo, dev.profile().size(),
+                     dev.profile_latency_us() - before});
+    return result;
+  };
+
+  std::vector<gpusim::BufferId> out(L);
+  gpusim::BufferId x = session.input;
+  dev.set_phase(gpusim::KernelPhase::kForward);
+  {
+    GT_STAGE(fwd_span, kForward, "frameworks.forward", "frameworks");
+    for (std::uint32_t l = 0; l < L; ++l)
+      x = out[l] = timed(l, false, [&] { return passes.forward(l, x); });
   }
-  Matrix host_logits = kernels::download_matrix(dev, logits);
-  std::vector<std::uint32_t> labels;
-  labels.reserve(host_logits.rows());
-  for (std::size_t i = 0; i < host_logits.rows(); ++i)
-    labels.push_back(
-        synthetic_label(data.batch.vid_order[i], num_classes, seed));
-  Matrix grad;
-  const float loss = softmax_cross_entropy(host_logits, labels, &grad);
-  *dlogits = kernels::upload_matrix(dev, grad, "dlogits");
-  return loss;
+  report.fwp_us = dev.profile_latency_us();
+  if (spec.inference) return;
+
+  // Loss + backward land past the fwp_us boundary and carry the backward
+  // phase tag, matching bwp_us = total - fwp_us below.
+  dev.set_phase(gpusim::KernelPhase::kBackward);
+  gpusim::BufferId dy = gpusim::kInvalidBuffer;
+  report.loss = loss_head(dev, x, model.output_dim, spec.seed, &dy, ctx);
+  {
+    GT_STAGE(bwd_span, kBackward, "frameworks.backward", "frameworks");
+    for (std::uint32_t l = L; l-- > 0;) {
+      const gpusim::BufferId x_in = l == 0 ? session.input : out[l - 1];
+      const kernels::napa::DenseGrads grads = timed(
+          l, true, [&] { return passes.backward(l, x_in, dy, l > 0); });
+      sgd.stage(dev, l, grads.dw, grads.db, ctx);
+      dev.free(grads.dw);
+      dev.free(grads.db);
+      dev.free(dy);
+      dy = grads.dx;  // invalid at l == 0 (skipped), loop ends anyway
+      passes.release(l);
+    }
+  }
+  report.bwp_us = dev.profile_latency_us() - report.fwp_us;
 }
 
 void SgdStage::stage(gpusim::Device& dev, std::uint32_t layer,
@@ -250,10 +292,9 @@ void SgdStage::commit() {
 }
 
 void finalize_report(RunReport& report, const gpusim::Device& dev,
-                     const pipeline::PreprocSchedule& schedule,
-                     bool overlap_compute,
-                     const pipeline::BatchContext* ctx,
+                     bool overlap_compute, const pipeline::BatchContext& ctx,
                      const ShardedExecution* shard) {
+  const pipeline::PreprocSchedule& schedule = ctx.schedule();
   std::size_t cache_hit_bytes = 0;
   report.kernel_launches = dev.kernel_launch_count();
   for (const auto& k : dev.profile()) {
@@ -268,10 +309,6 @@ void finalize_report(RunReport& report, const gpusim::Device& dev,
     report.atomic_ops += k.atomic_ops;
     cache_hit_bytes += k.cache_hit_bytes;
   }
-  // Callers mark the FWP/BWP boundary as they run; a framework that did
-  // not gets the whole profile attributed to the forward pass.
-  if (report.fwp_us == 0.0 && report.bwp_us == 0.0)
-    report.fwp_us = report.kernel_total_us;
   report.peak_memory_bytes = dev.memory_stats().peak_bytes;
   report.schedule = schedule;
   report.preproc_makespan_us = schedule.makespan_us;
@@ -369,20 +406,17 @@ void finalize_report(RunReport& report, const gpusim::Device& dev,
     obs::attrib::KernelLedger::global().record_batch(totals, records);
   }
 #endif
-  if (ctx) {
-    const Arena::Stats& a = ctx->arena().stats();
-    report.arena_peak_bytes = a.used_bytes;  // monotone within a batch
-    report.arena_allocations = ctx->arena_allocations_this_batch();
-    report.arena_capacity_bytes = a.capacity_bytes;
-    report.arena_growths = ctx->arena_growths_this_batch();
-    m.gauge("batch_context.arena_peak_bytes")
-        .set(static_cast<double>(a.peak_bytes));
-    m.gauge("batch_context.arena_capacity_bytes")
-        .set(static_cast<double>(a.capacity_bytes));
-    m.counter("batch_context.arena_allocations")
-        .add(report.arena_allocations);
-    m.counter("batch_context.arena_growths").add(report.arena_growths);
-  }
+  const Arena::Stats& a = ctx.arena().stats();
+  report.arena_peak_bytes = a.used_bytes;  // monotone within a batch
+  report.arena_allocations = ctx.arena_allocations_this_batch();
+  report.arena_capacity_bytes = a.capacity_bytes;
+  report.arena_growths = ctx.arena_growths_this_batch();
+  m.gauge("batch_context.arena_peak_bytes")
+      .set(static_cast<double>(a.peak_bytes));
+  m.gauge("batch_context.arena_capacity_bytes")
+      .set(static_cast<double>(a.capacity_bytes));
+  m.counter("batch_context.arena_allocations").add(report.arena_allocations);
+  m.counter("batch_context.arena_growths").add(report.arena_growths);
   emit_sim_timeline(report, dev, schedule);
 }
 

@@ -1,11 +1,16 @@
 // Shared machinery for framework implementations: preprocessing + schedule,
-// device session setup (uploads), the loss head, and SGD application.
+// device session setup (uploads), the training step every backend runs
+// (FWP -> loss -> BWP, run_layers), SGD staging, and the report tail.
 #pragma once
 
+#include <functional>
+
+#include "dfg/cost_model.hpp"
 #include "frameworks/framework.hpp"
 #include "frameworks/sharding.hpp"
 #include "gpusim/device.hpp"
 #include "kernels/common.hpp"
+#include "kernels/napa.hpp"
 #include "pipeline/executor.hpp"
 
 namespace gt::frameworks::detail {
@@ -34,7 +39,6 @@ struct DeviceSession {
   std::vector<kernels::DeviceCoo> coo;
   std::vector<gpusim::BufferId> w;
   std::vector<gpusim::BufferId> b;
-  std::size_t input_table_bytes = 0;
 
   explicit DeviceSession(gpusim::DeviceConfig cfg) : dev(std::move(cfg)) {}
 };
@@ -47,17 +51,6 @@ struct DeviceSession {
 std::unique_ptr<DeviceSession> open_session(
     const pipeline::PreprocResult& pre, const models::ModelParams& params,
     const sampling::ReindexFormats& formats, bool upload_input = true);
-
-/// Softmax cross-entropy head over the batch's logits; labels are the
-/// deterministic synthetic labels of the original dst vertices. Returns the
-/// loss and uploads dL/dlogits as a device buffer. With `ctx`, the logits
-/// download, the label vector, and the gradient all live in the context
-/// (arena views / reused scratch — no heap Matrix); without, fresh owning
-/// matrices are used. Both paths are bit-identical.
-float loss_head(gpusim::Device& dev, gpusim::BufferId logits,
-                const pipeline::PreprocResult& data, std::uint32_t num_classes,
-                std::uint64_t seed, gpusim::BufferId* dlogits,
-                pipeline::BatchContext* ctx = nullptr);
 
 /// Buffers a batch's per-layer SGD updates so nothing touches the model
 /// parameters until the batch reaches a reported outcome (success or OOM,
@@ -110,17 +103,50 @@ void record_oom(RunReport& report, const gpusim::GpuOomError& e,
                 const pipeline::BatchContext& ctx);
 
 /// Fill the RunReport's GPU-side fields from the device profile and
-/// combine preprocessing + compute into the end-to-end latency. With
-/// `ctx`, the report's arena counters are filled from the context. With
-/// `shard` (a devices > 1 run's attributed execution), the multi-device
-/// report fields are filled, comm.* metrics and per-device gauges are
-/// emitted, the kernel ledger records per-device rows, and the end-to-end
-/// latency overlaps the *group* makespan instead of the serial kernel
-/// time — everything the single-device report derives stays untouched.
+/// combine `ctx`'s priced preprocessing schedule + compute into the
+/// end-to-end latency; the report's arena counters are filled from `ctx`.
+/// With `shard` (a devices > 1 run's attributed execution), the
+/// multi-device report fields are filled, comm.* metrics and per-device
+/// gauges are emitted, the kernel ledger records per-device rows, and the
+/// end-to-end latency overlaps the *group* makespan instead of the serial
+/// kernel time — everything the single-device report derives stays
+/// untouched.
 void finalize_report(RunReport& report, const gpusim::Device& dev,
-                     const pipeline::PreprocSchedule& schedule,
-                     bool overlap_compute,
-                     const pipeline::BatchContext* ctx = nullptr,
+                     bool overlap_compute, const pipeline::BatchContext& ctx,
                      const ShardedExecution* shard = nullptr);
+
+/// A backend's per-layer kernel bodies, the only part of the training
+/// step that differs between backends. Each keeps its own forward
+/// artifacts, indexed by layer.
+struct LayerPasses {
+  /// Run layer `l` on `x`, keep what backward needs, return the output.
+  std::function<gpusim::BufferId(std::uint32_t l, gpusim::BufferId x)>
+      forward;
+  /// Gradients of layer `l` given its input and dL/dout; `dx` is computed
+  /// only when `want_dx` (every layer but the first).
+  std::function<kernels::napa::DenseGrads(std::uint32_t l,
+                                          gpusim::BufferId x_in,
+                                          gpusim::BufferId dy, bool want_dx)>
+      backward;
+  /// Free what forward kept for layer `l` (not its output).
+  std::function<void(std::uint32_t l)> release;
+};
+
+/// The training step every backend runs on `session`'s device: the
+/// forward pass over all layers (phase kForward, span frameworks.forward),
+/// report.fwp_us, then — unless spec.inference — the loss head and the
+/// backward pass (phase kBackward, span frameworks.backward), which stages
+/// each layer's SGD update in `sgd` and frees its gradients, dy and
+/// forward artifacts in that order; then report.bwp_us. Marks
+/// report.layer_comb_first_* from `orders` up front. Every layer call is
+/// appended to `calls` when it returns — its profile range and
+/// `us` = profile_latency_us() after minus before — so after a GpuOomError
+/// `calls` holds exactly the calls that completed.
+void run_layers(DeviceSession& session, const models::GnnModelConfig& model,
+                const BatchSpec& spec,
+                const std::vector<dfg::KernelOrder>& orders,
+                const LayerPasses& passes, SgdStage& sgd,
+                pipeline::BatchContext& ctx, RunReport& report,
+                std::vector<LayerSlice>& calls);
 
 }  // namespace gt::frameworks::detail

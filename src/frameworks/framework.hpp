@@ -1,11 +1,14 @@
 // Framework interface: one training batch, end to end, fully instrumented.
 //
 // Every evaluated system (Base-GT / Dynamic-GT / Prepro-GT and the PyG /
-// DGL / GNNAdvisor / SALIENT baselines) implements run_batch: preprocess
-// (sample, reindex, lookup, transfer), execute FWP + loss + BWP on the
-// simulated GPU, apply SGD, and report the Nsight-style kernel profile,
-// memory statistics, and the preprocessing schedule. Benchmarks reproduce
-// the paper's tables and figures from these reports alone.
+// DGL / GNNAdvisor / SALIENT baselines) runs a batch the same way:
+// preprocess (sample, reindex, lookup, transfer), execute FWP + loss + BWP
+// on the simulated GPU, apply SGD, and report the Nsight-style kernel
+// profile, memory statistics, and the preprocessing schedule. Backends
+// differ only in preprocessing and in their per-layer kernel bodies; the
+// training step itself is one shared driver (common.hpp run_layers).
+// Benchmarks reproduce the paper's tables and figures from these reports
+// alone.
 #pragma once
 
 #include <array>
@@ -139,8 +142,9 @@ struct RunReport {
 
   // -- Training --------------------------------------------------------------
   float loss = 0.0f;
-  std::array<std::uint32_t, 8> layer_comb_first_fwd{};  // DKP decisions
-  std::array<std::uint32_t, 8> layer_comb_first_bwd{};
+  // DKP decisions, one slot per layer.
+  std::array<std::uint32_t, models::kMaxLayers> layer_comb_first_fwd{};
+  std::array<std::uint32_t, models::kMaxLayers> layer_comb_first_bwd{};
 
   double kernel_us(gpusim::KernelCategory c) const {
     return kernel_category_us[static_cast<std::size_t>(c)];
@@ -181,9 +185,13 @@ class Framework {
                const BatchSpec& spec, pipeline::BatchContext& ctx);
 
   /// Phase 2 — device compute, loss, backward, and SGD from a prepared
-  /// context. Mutates `params` and framework state (cost model, caches):
-  /// callers must invoke it serially, in batch order, for determinism.
-  /// Must not throw on GPU OOM — reports it.
+  /// context. Every backend runs the same training step
+  /// (detail::run_layers: FWP, the spec.inference cut, loss, BWP with
+  /// staged SGD) around its own per-layer kernels. Mutates `params` and
+  /// framework state (cost model, caches): callers must invoke it
+  /// serially, in batch order, for determinism. Must not throw on GPU
+  /// OOM — reports it, committing the SGD updates of the layers whose
+  /// backward completed.
   ///
   /// Each phase is timed once: the same interval is its span
   /// (frameworks.prepare_batch / frameworks.run_batch), its profiler stage

@@ -81,7 +81,6 @@ RunReport GraphTensorFramework::execute_prepared(
   report.dataset = data.spec.name;
 
   const std::uint32_t L = model.num_layers;
-  const sampling::ReindexFormats formats = kGtFormats;
   const pipeline::PlanOptions plan = plan_options();
 
   pipeline::PreprocResult& pre = ctx.preproc();
@@ -106,27 +105,29 @@ RunReport GraphTensorFramework::execute_prepared(
 
   // Multi-device execution is a modeled decomposition of the canonical
   // run (DESIGN.md §14): the plan is derived from the real preprocessed
-  // layer structures up front; layer slices of the profile are captured
-  // around each exec call; the post-pass attributes, prices collectives,
-  // and merges the group timeline. Numerics below are untouched — except
-  // the tensor-parallel SGD commit, which applies the same gradient as
-  // disjoint per-device row slices (bit-identical by independence).
+  // layer structures up front; the post-pass attributes the layer calls
+  // run_layers recorded, prices collectives, and merges the group
+  // timeline. Numerics below are untouched — except the tensor-parallel
+  // SGD commit, which applies the same gradient as disjoint per-device
+  // row slices (bit-identical by independence).
   const bool sharded = shard_.devices > 1;
   detail::ShardPlan shard_plan;
-  std::vector<detail::LayerSlice> slices;
   if (sharded) {
     shard_plan = detail::build_shard_plan(pre, params, L, shard_);
     if (shard_.strategy == ShardStrategy::kTensorParallel)
       sgd.set_device_row_slices(&shard_plan.sgd_row_boundaries);
   }
 
-  struct PendingSample {
-    LayerDims dims;
-    dfg::PlacementCase pc;
-    double us;
-    std::uint32_t layer;
+  // Every layer call of the batch (run_layers appends each as it returns,
+  // so an OOM keeps the completed ones): the sharding slices and, when
+  // DKP is active, the cost model's samples.
+  std::vector<detail::LayerSlice> calls;
+  std::vector<KernelOrder> orders(L, KernelOrder::kAggregationFirst);
+  auto dims_of = [&](std::uint32_t l) {
+    return LayerDims{pre.batch.layer_vertices(l), pre.batch.layer_dst(l),
+                     pre.batch.layer_edges(l), params.in_dim(l),
+                     params.out_dim(l)};
   };
-  std::vector<PendingSample> pending;
   auto commit_samples = [&] {
 #ifndef GT_OBS_DISABLE
     // Ledger join: pair each committed sample with the model's prediction
@@ -136,20 +137,24 @@ RunReport GraphTensorFramework::execute_prepared(
     const bool ledger_on = obs::attrib::KernelLedger::global().armed();
     const bool was_fitted = cost_model_.fitted();
 #endif
-    for (const PendingSample& s : pending) {
+    for (const detail::LayerSlice& c : calls) {
+      if (!dkp_active) break;  // Base-GT and DKP-incompatible models
+      const LayerDims dims = dims_of(c.layer);
+      const dfg::PlacementCase pc{orders[c.layer], c.backward,
+                                  /*first_layer=*/c.layer == 0,
+                                  model.edge_weighted()};
 #ifndef GT_OBS_DISABLE
       if (ledger_on) {
-        std::string key = s.pc.backward ? "bwd/" : "fwd/";
-        key += dfg::to_string(s.pc.order);
+        std::string key = c.backward ? "bwd/" : "fwd/";
+        key += dfg::to_string(pc.order);
         key += "/L";
-        key += std::to_string(s.layer);
+        key += std::to_string(c.layer);
         obs::attrib::KernelLedger::global().record_prediction(
-            key, cost_model_.predict(s.dims, s.pc), s.us, was_fitted);
+            key, cost_model_.predict(dims, pc), c.us, was_fitted);
       }
 #endif
-      cost_model_.record(s.dims, s.pc, s.us);
+      cost_model_.record(dims, pc, c.us);
     }
-    pending.clear();
     ++batches_seen_;
 #ifndef GT_OBS_DISABLE
     // Live model-health surface (gauges + drift event); independent of
@@ -196,7 +201,7 @@ RunReport GraphTensorFramework::execute_prepared(
   };
 
   try {
-    auto session = detail::open_session(pre, params, formats,
+    auto session = detail::open_session(pre, params, kGtFormats,
                                         /*upload_input=*/!use_cache);
     gpusim::Device& dev = session->dev;
 
@@ -236,21 +241,8 @@ RunReport GraphTensorFramework::execute_prepared(
       dev.clear_profile();  // staging/assembly is not FWP/BWP work
     }
 
-    dfg::LayerExecutor exec(dev, model.f, model.g);
-
-    std::vector<dfg::LayerDeviceGraph> lg(L);
-    for (std::uint32_t l = 0; l < L; ++l)
-      lg[l] = dfg::LayerDeviceGraph{session->csr[l], session->csc[l]};
-
-    auto dims_of = [&](std::uint32_t l) {
-      return LayerDims{pre.batch.layer_vertices(l), pre.batch.layer_dst(l),
-                       pre.batch.layer_edges(l), params.in_dim(l),
-                       params.out_dim(l)};
-    };
-
     // Placement decision per layer (one decision covers FWP + BWP; the
     // backward pass reuses the forward's cached tensors).
-    std::vector<KernelOrder> orders(L, KernelOrder::kAggregationFirst);
     for (std::uint32_t l = 0; l < L; ++l) {
       if (spec.order == OrderPolicy::kCombinationFirst &&
           kernels::dkp_compatible(model.g)) {
@@ -274,8 +266,6 @@ RunReport GraphTensorFramework::execute_prepared(
                           : KernelOrder::kCombinationFirst;
         }
       }
-      if (orders[l] == KernelOrder::kCombinationFirst)
-        report.layer_comb_first_fwd[l] = report.layer_comb_first_bwd[l] = 1;
       obs::metrics()
           .counter(orders[l] == KernelOrder::kCombinationFirst
                        ? "dkp.decisions.comb_first"
@@ -283,108 +273,54 @@ RunReport GraphTensorFramework::execute_prepared(
           .add(1);
     }
 
-    // ---- FWP ----------------------------------------------------------------
+    dfg::LayerExecutor exec(dev, model.f, model.g);
     std::vector<dfg::LayerForward> fwds;
-    gpusim::BufferId x = session->input;
-    dev.set_phase(gpusim::KernelPhase::kForward);
-    {
-      GT_STAGE(fwd_span, kForward, "frameworks.forward", "frameworks");
-      for (std::uint32_t l = 0; l < L; ++l) {
-        const double before = dev.profile_latency_us();
-        const std::size_t slice_lo = dev.profile().size();
-        fwds.push_back(exec.forward(
-            lg[l], x, dfg::LayerParams{session->w[l], session->b[l]},
-            model.relu_at(l), orders[l]));
-        if (sharded)
-          slices.push_back({l, /*backward=*/false, slice_lo,
-                            dev.profile().size()});
-        if (dkp_active)
-          pending.push_back(
-              {dims_of(l),
-               dfg::PlacementCase{orders[l], /*backward=*/false,
-                                  /*first_layer=*/l == 0,
-                                  model.edge_weighted()},
-               dev.profile_latency_us() - before, l});
-        x = fwds.back().out;
-      }
-    }
-
-    report.fwp_us = dev.profile_latency_us();
-
-    // Shared report tail: when sharded, attribute the complete profile,
-    // price the strategy's collectives, and merge the group timeline
-    // before the report is finalized.
-    auto finalize = [&] {
-      detail::ShardedExecution sx;
-      const detail::ShardedExecution* sp = nullptr;
-      if (sharded) {
-        detail::CacheBatchVolumes cache_vol;
-        const detail::CacheBatchVolumes* cp = nullptr;
-        if (cache_active) {
-          cache_vol.static_hits = cache_look.static_rows.size();
-          cache_vol.dynamic_hits = cache_look.dynamic_hits;
-          cache_vol.prefetch_hits = cache_look.prefetch_hits;
-          cache_vol.misses = cache_look.misses;
-          cache_vol.evictions = cache_look.expected_evictions;
-          cp = &cache_vol;
-        }
-        sx = detail::shard_execution(dev.profile(), slices, shard_plan,
-                                     dev.config().cost.launch_overhead_us,
-                                     cp);
-        sp = &sx;
-      }
-      detail::finalize_report(report, dev, ctx.schedule(),
-                              /*overlap_compute=*/true, &ctx, sp);
+    auto graph_of = [&](std::uint32_t l) {
+      return dfg::LayerDeviceGraph{session->csr[l], session->csc[l]};
     };
+    auto params_of = [&](std::uint32_t l) {
+      return dfg::LayerParams{session->w[l], session->b[l]};
+    };
+    const detail::LayerPasses passes{
+        [&](std::uint32_t l, gpusim::BufferId x) {
+          fwds.push_back(exec.forward(graph_of(l), x, params_of(l),
+                                      model.relu_at(l), orders[l]));
+          return fwds.back().out;
+        },
+        [&](std::uint32_t l, gpusim::BufferId x_in, gpusim::BufferId dy,
+            bool want_dx) {
+          return exec.backward(graph_of(l), x_in, params_of(l),
+                               model.relu_at(l), fwds[l], dy, want_dx);
+        },
+        [&](std::uint32_t l) { exec.release_cache(fwds[l]); }};
+    detail::run_layers(*session, model, spec, orders, passes, sgd, ctx,
+                       report, calls);
+
+    // When sharded, attribute the complete profile, price the strategy's
+    // collectives, and merge the group timeline before the report is
+    // finalized.
+    detail::ShardedExecution sx;
+    if (sharded) {
+      detail::CacheBatchVolumes cache_vol;
+      if (cache_active) {
+        cache_vol.static_hits = cache_look.static_rows.size();
+        cache_vol.dynamic_hits = cache_look.dynamic_hits;
+        cache_vol.prefetch_hits = cache_look.prefetch_hits;
+        cache_vol.misses = cache_look.misses;
+        cache_vol.evictions = cache_look.expected_evictions;
+      }
+      sx = detail::shard_execution(dev.profile(), calls, shard_plan,
+                                   dev.config().cost.launch_overhead_us,
+                                   cache_active ? &cache_vol : nullptr);
+    }
+    detail::finalize_report(report, dev, /*overlap_compute=*/true, ctx,
+                            sharded ? &sx : nullptr);
 
     if (spec.inference) {
-      finalize();
       commit_cache();
       commit_samples();
       return report;
     }
-
-    // Loss + backward both land past the fwp_us boundary, so they carry
-    // the backward phase tag — matching bwp_us = total - fwp_us below.
-    dev.set_phase(gpusim::KernelPhase::kBackward);
-
-    // ---- Loss ----------------------------------------------------------------
-    gpusim::BufferId dy = gpusim::kInvalidBuffer;
-    report.loss = detail::loss_head(dev, x, pre, model.output_dim, spec.seed,
-                                    &dy, &ctx);
-
-    // ---- BWP ----------------------------------------------------------------
-    {
-      GT_STAGE(bwd_span, kBackward, "frameworks.backward", "frameworks");
-      for (std::uint32_t li = L; li-- > 0;) {
-        const gpusim::BufferId x_in =
-            li == 0 ? session->input : fwds[li - 1].out;
-        const double before = dev.profile_latency_us();
-        const std::size_t slice_lo = dev.profile().size();
-        dfg::LayerBackward grads = exec.backward(
-            lg[li], x_in, dfg::LayerParams{session->w[li], session->b[li]},
-            model.relu_at(li), fwds[li], dy, /*want_dx=*/li > 0);
-        if (sharded)
-          slices.push_back({li, /*backward=*/true, slice_lo,
-                            dev.profile().size()});
-        if (dkp_active)
-          pending.push_back(
-              {dims_of(li),
-               dfg::PlacementCase{orders[li], /*backward=*/true,
-                                  /*first_layer=*/li == 0,
-                                  model.edge_weighted()},
-               dev.profile_latency_us() - before, li});
-        sgd.stage(dev, li, grads.dw, grads.db, ctx);
-        dev.free(grads.dw);
-        dev.free(grads.db);
-        dev.free(dy);
-        dy = grads.dx;  // invalid at li == 0 (skipped), loop ends anyway
-        exec.release_cache(fwds[li]);
-      }
-    }
-
-    report.bwp_us = dev.profile_latency_us() - report.fwp_us;
-    finalize();
   } catch (const gpusim::GpuOomError& e) {
     detail::record_oom(report, e, ctx);
   }

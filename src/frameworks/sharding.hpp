@@ -37,15 +37,18 @@
 
 namespace gt::frameworks::detail {
 
-/// Index range [lo, hi) of the canonical device profile covering one
-/// layer pass. Captured by the framework around each exec.forward /
-/// exec.backward call; profile entries outside every slice (loss head,
-/// synthetic charges) are attributed by the plan's default weights.
+/// One layer pass of a batch, recorded by run_layers (common.hpp) around
+/// each forward/backward call: the index range [lo, hi) of the canonical
+/// device profile it covers and its priced latency `us`. Sharding
+/// attributes by the range (profile entries outside every slice — loss
+/// head, synthetic charges — go by the plan's default weights); the DKP
+/// cost model learns from `us`.
 struct LayerSlice {
   std::uint32_t layer = 0;
   bool backward = false;
   std::size_t lo = 0;
   std::size_t hi = 0;
+  double us = 0.0;
 };
 
 /// Everything shard_execution() needs, derived once per batch from the

@@ -14,6 +14,11 @@
 
 namespace gt::models {
 
+/// Deepest model the stack runs: RunReport keeps one per-layer DKP
+/// decision slot per layer. ModelParams and NapaProgram::build reject
+/// deeper models.
+inline constexpr std::uint32_t kMaxLayers = 8;
+
 struct GnnModelConfig {
   std::string name;
   kernels::AggMode f = kernels::AggMode::kMean;

@@ -1,6 +1,7 @@
 #include "models/params.hpp"
 
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -10,6 +11,9 @@ ModelParams::ModelParams(const GnnModelConfig& config, std::size_t feature_dim,
                          std::uint64_t seed) {
   if (config.num_layers == 0)
     throw std::invalid_argument("model needs at least one layer");
+  if (config.num_layers > kMaxLayers)
+    throw std::invalid_argument("model has more than " +
+                                std::to_string(kMaxLayers) + " layers");
   Xoshiro256 rng(seed);
   std::size_t in = feature_dim;
   for (std::uint32_t l = 0; l < config.num_layers; ++l) {

@@ -30,6 +30,11 @@ TEST(NapaProgram, RejectsInvalidConfigs) {
   EXPECT_THROW(NapaProgram("").build(), std::invalid_argument);
 }
 
+TEST(NapaProgram, AcceptsUpToMaxLayersAndRejectsDeeper) {
+  EXPECT_EQ(NapaProgram("m").layers(8).build().num_layers, 8u);
+  EXPECT_THROW(NapaProgram("m").layers(9).build(), std::invalid_argument);
+}
+
 TEST(GnnService, TrainEpochReportsStats) {
   ServiceOptions opt;
   opt.framework = "Base-GT";

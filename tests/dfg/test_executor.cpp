@@ -100,8 +100,8 @@ TEST_P(ExecutorBackwardOrders, BackwardMatchesReference) {
       p.csr, p.x, p.w, p.n_dst, f, g, true, dy, cache);
 
   auto dyb = kernels::upload_matrix(s.dev, dy, "dy");
-  LayerBackward grads = exec.backward(s.graph, s.x, s.params, true, fwd, dyb,
-                                      /*want_dx=*/true);
+  kernels::napa::DenseGrads grads =
+      exec.backward(s.graph, s.x, s.params, true, fwd, dyb, /*want_dx=*/true);
   EXPECT_TRUE(
       allclose(kernels::download_matrix(s.dev, grads.dw), want.dw, 2e-3f))
       << to_string(order);
@@ -139,8 +139,8 @@ TEST(Executor, FirstLayerBackwardSkipsGraphTraversal) {
   auto dyb = s.dev.alloc_f32(p.n_dst, p.w.cols(), "dy");
 
   s.dev.clear_profile();
-  LayerBackward grads = exec.backward(s.graph, s.x, s.params, true, fwd, dyb,
-                                      /*want_dx=*/false);
+  kernels::napa::DenseGrads grads =
+      exec.backward(s.graph, s.x, s.params, true, fwd, dyb, /*want_dx=*/false);
   EXPECT_EQ(grads.dx, gpusim::kInvalidBuffer);
   // No aggregation-backward kernel ran.
   using gpusim::KernelCategory;

@@ -90,5 +90,11 @@ TEST(ModelParams, RejectsZeroLayers) {
   EXPECT_THROW(ModelParams(cfg, 6, 1), std::invalid_argument);
 }
 
+TEST(ModelParams, AcceptsUpToMaxLayersAndRejectsDeeper) {
+  EXPECT_EQ(ModelParams(gcn(4, 2, kMaxLayers), 6, 1).num_layers(), 8u);
+  EXPECT_THROW(ModelParams(gcn(4, 2, kMaxLayers + 1), 6, 1),
+               std::invalid_argument);
+}
+
 }  // namespace
 }  // namespace gt::models
