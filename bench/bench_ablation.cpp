@@ -16,7 +16,6 @@
 #include "kernels/graph_approach.hpp"
 #include "kernels/napa.hpp"
 #include "pipeline/executor.hpp"
-#include "sampling/embedding_cache.hpp"
 
 using namespace gt;
 
@@ -32,7 +31,7 @@ void ablation_scheduling() {
     pipeline::PreprocExecutor exec(data.csr, data.embeddings,
                                    data.spec.fanout, 2, bench::kSeed,
                                    formats);
-    auto pre = exec.run_serial(exec.sampler().pick_batch(300, 0));
+    auto pre = exec.run(exec.sampler().pick_batch(300, 0));
     const auto& layer = pre.layers[0];
 
     gpusim::Device dev;
@@ -120,7 +119,7 @@ void ablation_transfer() {
   sampling::ReindexFormats formats{.csr = true};
   pipeline::PreprocExecutor exec(data.csr, data.embeddings, data.spec.fanout,
                                  2, bench::kSeed, formats);
-  auto pre = exec.run_serial(exec.sampler().pick_batch(300, 0));
+  auto pre = exec.run(exec.sampler().pick_batch(300, 0));
   pipeline::BatchWorkload w =
       pipeline::workload_from(pre.batch, data.spec.feature_dim);
   Table table({"path", "makespan (us)", "transfer busy (us)"});
@@ -151,7 +150,7 @@ void ablation_chunks() {
   sampling::ReindexFormats formats{.csr = true};
   pipeline::PreprocExecutor exec(data.csr, data.embeddings, data.spec.fanout,
                                  2, bench::kSeed, formats);
-  auto pre = exec.run_serial(exec.sampler().pick_batch(300, 0));
+  auto pre = exec.run(exec.sampler().pick_batch(300, 0));
   pipeline::BatchWorkload w =
       pipeline::workload_from(pre.batch, data.spec.feature_dim);
   Table table({"chunks/task", "makespan (us)"});

@@ -25,7 +25,7 @@ int main() {
                                    data.spec.fanout, 2, bench::kSeed,
                                    formats);
     auto batch = exec.sampler().pick_batch(data.spec.batch_size, 0);
-    pipeline::PreprocResult pre = exec.run_serial(batch);
+    pipeline::PreprocResult pre = exec.run(batch);
     models::GnnModelConfig model = bench::gcn_for(data);
     models::ModelParams params(model, data.spec.feature_dim, 7);
 

@@ -24,7 +24,7 @@ int main() {
                                    data.spec.fanout, 2, bench::kSeed,
                                    formats);
     auto batch = exec.sampler().pick_batch(data.spec.batch_size, 0);
-    pipeline::PreprocResult pre = exec.run_serial(batch);
+    pipeline::PreprocResult pre = exec.run(batch);
     pipeline::BatchWorkload w =
         pipeline::workload_from(pre.batch, data.spec.feature_dim);
 
@@ -43,7 +43,7 @@ int main() {
     // Real measurement: run the threaded executor and read the lock
     // counters of the striped hash table.
     ThreadPool pool(4);
-    pipeline::PreprocResult par = exec.run_parallel(batch, pool, 8);
+    pipeline::PreprocResult par = exec.run(batch, &pool, 8);
     table.add_row({name, Table::fmt(t_naive, 0), Table::fmt(t_relaxed, 0),
                    Table::fmt_pct(1.0 - t_relaxed / t_naive),
                    Table::fmt_count(par.hash_contended)});
@@ -51,7 +51,7 @@ int main() {
   table.print();
   std::printf("\n");
   bench::claim(
-      "preprocessing time lost to contention (paper: 47.4%% S-S + 39.0%% "
+      "preprocessing time lost to contention (paper: 47.4% S-S + 39.0% "
       "S-R of preprocessing)",
       0.40, mean(savings), " fraction saved by relaxing");
   return 0;

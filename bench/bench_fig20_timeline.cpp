@@ -34,7 +34,7 @@ int main() {
                                    data.spec.fanout, 2, bench::kSeed,
                                    formats);
     auto batch = exec.sampler().pick_batch(data.spec.batch_size, 0);
-    pipeline::PreprocResult pre = exec.run_serial(batch);
+    pipeline::PreprocResult pre = exec.run(batch);
     pipeline::BatchWorkload w =
         pipeline::workload_from(pre.batch, data.spec.feature_dim);
 

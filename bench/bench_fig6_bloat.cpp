@@ -22,7 +22,7 @@ int main() {
                                    data.spec.fanout, 2, bench::kSeed,
                                    formats);
     auto batch = exec.sampler().pick_batch(data.spec.batch_size, 0);
-    pipeline::PreprocResult pre = exec.run_serial(batch);
+    pipeline::PreprocResult pre = exec.run(batch);
     const auto& layer = pre.layers[0];
     const std::size_t table_bytes = pre.embeddings.bytes();
 

@@ -21,7 +21,7 @@ int main() {
                                    data.spec.fanout, 2, bench::kSeed,
                                    formats);
     auto batch = exec.sampler().pick_batch(data.spec.batch_size, 0);
-    pipeline::PreprocResult pre = exec.run_serial(batch);
+    pipeline::PreprocResult pre = exec.run(batch);
 
     auto orig = summarize_degrees(in_degrees(data.csr));
     auto smp_deg = in_degrees(pre.layers[0].csr);

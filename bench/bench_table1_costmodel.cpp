@@ -55,7 +55,7 @@ int main() {
                                    data.spec.fanout, 2, bench::kSeed,
                                    formats);
     auto batch = exec.sampler().pick_batch(data.spec.batch_size, 0);
-    pipeline::PreprocResult pre = exec.run_serial(batch);
+    pipeline::PreprocResult pre = exec.run(batch);
     models::ModelParams params(model, data.spec.feature_dim, 7);
 
     auto measure = [&](KernelOrder order) {

@@ -17,7 +17,7 @@ int main() {
                                    data.spec.fanout, data.spec.num_layers,
                                    bench::kSeed, formats);
     auto batch = exec.sampler().pick_batch(data.spec.batch_size, 0);
-    pipeline::PreprocResult pre = exec.run_serial(batch);
+    pipeline::PreprocResult pre = exec.run(batch);
 
     const double edges = static_cast<double>(pre.batch.layer_edges(0));
     const double verts = static_cast<double>(pre.batch.total_vertices());

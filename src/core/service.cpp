@@ -216,46 +216,44 @@ void GnnService::after_batch(const frameworks::BatchSpec& spec,
   if (telemetry_) telemetry_->on_batch();
 }
 
-frameworks::RunReport GnnService::run_with_recovery(
+frameworks::RunReport GnnService::retry_batch(
     const frameworks::BatchSpec& spec, pipeline::BatchContext& ctx,
-    std::uint32_t failed_attempts, std::string last_reason) {
+    std::string last_reason) {
   // Every attempt of this batch — and everything it causes (fault
   // injection, retries, the eventual degradation) — shares one cid.
   obs::live::CorrelationScope cscope(batch_cid(spec));
   std::uint64_t backoff = 0;
-  while (true) {
+  for (std::uint32_t failed_attempts = 1;; ++failed_attempts) {
     if (failed_attempts > options_.max_retries)
       return degraded_report(spec, last_reason, failed_attempts - 1, backoff);
-    if (failed_attempts > 0) {
-      // Virtual backoff: a deterministic tick counter stands in for the
-      // wall-clock sleep a real service would take, keeping recovered
-      // runs bit-identical and tests instant.
-      const std::uint64_t ticks = backoff_for(failed_attempts);
-      // Saturate, don't wrap: with backoff_max_ticks near UINT64_MAX a
-      // couple of retries used to overflow these accumulators back to
-      // small values, making reports claim almost no backoff was taken.
-      backoff = detail::saturating_add(backoff, ticks);
-      backoff_ticks_total_ = detail::saturating_add(backoff_ticks_total_, ticks);
-      obs::metrics().counter("service.retries").add(1);
-      obs::metrics().counter("service.backoff_ticks").add(ticks);
-      GT_OBS_SCOPE_N(span, "service.retry", "service");
-      span.arg("batch", static_cast<std::int64_t>(spec.batch_index));
-      span.arg("attempt", static_cast<std::int64_t>(failed_attempts));
-      span.arg("backoff_ticks", static_cast<std::int64_t>(ticks));
-      if (obs::live::EventLog::global().armed()) {
-        obs::live::Event ev(obs::live::Severity::kWarn, "service.retry");
-        ev.msg(last_reason)
-            .field("batch", spec.batch_index)
-            .field("attempt", static_cast<std::uint64_t>(failed_attempts))
-            .field("max_retries",
-                   static_cast<std::uint64_t>(options_.max_retries))
-            .field("backoff_ticks", ticks);
-        obs::live::EventLog::global().emit(ev);
-      }
-      log_warn("service: batch ", spec.batch_index, " retry ",
-               failed_attempts, "/", options_.max_retries, " after ", ticks,
-               " backoff tick", ticks == 1 ? "" : "s", ": ", last_reason);
+    // Virtual backoff: a deterministic tick counter stands in for the
+    // wall-clock sleep a real service would take, keeping recovered runs
+    // bit-identical and tests instant.
+    const std::uint64_t ticks = backoff_for(failed_attempts);
+    // Saturate, don't wrap: with backoff_max_ticks near UINT64_MAX a
+    // couple of retries used to overflow these accumulators back to small
+    // values, making reports claim almost no backoff was taken.
+    backoff = detail::saturating_add(backoff, ticks);
+    backoff_ticks_total_ = detail::saturating_add(backoff_ticks_total_, ticks);
+    obs::metrics().counter("service.retries").add(1);
+    obs::metrics().counter("service.backoff_ticks").add(ticks);
+    GT_OBS_SCOPE_N(span, "service.retry", "service");
+    span.arg("batch", static_cast<std::int64_t>(spec.batch_index));
+    span.arg("attempt", static_cast<std::int64_t>(failed_attempts));
+    span.arg("backoff_ticks", static_cast<std::int64_t>(ticks));
+    if (obs::live::EventLog::global().armed()) {
+      obs::live::Event ev(obs::live::Severity::kWarn, "service.retry");
+      ev.msg(last_reason)
+          .field("batch", spec.batch_index)
+          .field("attempt", static_cast<std::uint64_t>(failed_attempts))
+          .field("max_retries",
+                 static_cast<std::uint64_t>(options_.max_retries))
+          .field("backoff_ticks", ticks);
+      obs::live::EventLog::global().emit(ev);
     }
+    log_warn("service: batch ", spec.batch_index, " retry ", failed_attempts,
+             "/", options_.max_retries, " after ", ticks, " backoff tick",
+             ticks == 1 ? "" : "s", ": ", last_reason);
     try {
       // run_batch's prepare phase begins with ctx.begin_batch(), which
       // doubles as the quarantine reset after a failed attempt left the
@@ -267,30 +265,18 @@ frameworks::RunReport GnnService::run_with_recovery(
       r.backoff_ticks = backoff;
       return r;
     } catch (const fault::InjectedFault& f) {
-      if (f.kind() == fault::Kind::kAbort) {
-        ctx.begin_batch();  // leave the context clean behind the unwind
-        throw;
-      }
-      ++failed_attempts;
+      if (f.kind() == fault::Kind::kAbort) throw;  // run_ring's guard resets
       last_reason = f.what();
     }
   }
 }
 
 frameworks::RunReport GnnService::train_batch() {
-  ensure_contexts(1);
-  const frameworks::BatchSpec spec = next_spec(false);
-  frameworks::RunReport r = run_with_recovery(spec, *contexts_[0], 0, {});
-  after_batch(spec, r, 0);
-  return r;
+  return run_batches(1, /*inference=*/false).front();
 }
 
 frameworks::RunReport GnnService::infer_batch() {
-  ensure_contexts(1);
-  const frameworks::BatchSpec spec = next_spec(true);
-  frameworks::RunReport r = run_with_recovery(spec, *contexts_[0], 0, {});
-  after_batch(spec, r, 0);
-  return r;
+  return run_batches(1, /*inference=*/true).front();
 }
 
 template <class Pull, class Done, class Unwind>
@@ -382,7 +368,7 @@ void GnnService::run_ring(std::size_t depth, const char* unwind_reason,
       // (this attempt burned #0); the ring stays intact for the batches
       // behind it. If the re-run itself throws, the guard drains behind
       // that unwind too.
-      report = run_with_recovery(spec, ctx, 1, f.what());
+      report = retry_batch(spec, ctx, f.what());
     }
     if (pooled) launch_prepare();
     // Preparations still in flight behind this batch = the live queue
@@ -502,20 +488,26 @@ serving::ServeReport GnnService::serve(const serving::ServeConfig& config) {
   const std::size_t full_batch_vertices =
       config.batch.max_batch_requests *
       static_cast<std::size_t>(config.vertices_per_request);
-  ensure_contexts(1);
   double warm_us_sum = 0.0;
-  std::size_t warm_ok = 0;
-  for (std::size_t w = 0; w < warmup; ++w) {
-    frameworks::BatchSpec spec = next_spec(/*inference=*/true);
-    spec.batch_size = full_batch_vertices;
-    const frameworks::RunReport r =
-        run_with_recovery(spec, *contexts_[0], 0, {});
-    after_batch(spec, r, 0);
-    if (r.ok()) {
-      warm_us_sum += r.end_to_end_us;
-      ++warm_ok;
-    }
-  }
+  std::size_t warm_pulled = 0, warm_ok = 0;
+  run_ring(
+      1, "service.serve unwind",
+      [&]() -> std::optional<frameworks::BatchSpec> {
+        if (warm_pulled == warmup) return std::nullopt;
+        ++warm_pulled;
+        frameworks::BatchSpec spec = next_spec(/*inference=*/true);
+        spec.batch_size = full_batch_vertices;
+        return spec;
+      },
+      [&](std::size_t, const frameworks::BatchSpec& spec,
+          frameworks::RunReport&& r, std::size_t) {
+        after_batch(spec, r, 0);
+        if (r.ok()) {
+          warm_us_sum += r.end_to_end_us;
+          ++warm_ok;
+        }
+      },
+      []() noexcept {});
   // A warm-up that degraded end to end (fault plan at batch 0) still needs
   // a usable estimate; 1ms is the deterministic fallback.
   const serving::Tick est =
@@ -717,8 +709,8 @@ double GnnService::evaluate(std::size_t batches) {
     ctx.begin_batch();
     ctx.batch_vids() =
         exec.sampler().pick_batch(options_.batch_size, eval_batch_index(b));
-    exec.run_serial_into(ctx.batch_vids(), ctx.table(), ctx.preproc(),
-                         ctx.scratch());
+    exec.run_into(ctx.batch_vids(), ctx.table(), ctx.preproc(),
+                  ctx.scratch());
     const pipeline::PreprocResult& pre = ctx.preproc();
     ConstMatrixView x{pre.embeddings};
     for (std::uint32_t l = 0; l < model_.num_layers; ++l) {

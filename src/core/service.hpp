@@ -193,7 +193,8 @@ class GnnService {
     return kEvalStreamTag | b;
   }
 
-  /// Train one batch; batches advance deterministically.
+  /// Train one batch (the batch ring at depth 1); batches advance
+  /// deterministically.
   frameworks::RunReport train_batch();
 
   /// Forward-only inference on the next batch (no parameter update).
@@ -237,14 +238,13 @@ class GnnService {
   template <class Pull, class Done, class Unwind>
   void run_ring(std::size_t depth, const char* unwind_reason, Pull&& pull,
                 Done&& done, Unwind&& unwind);
-  /// Run one batch attempt-by-attempt: retry transient InjectedFaults
-  /// with virtual backoff (`failed_attempts` counts attempts already
-  /// burned by the caller, e.g. a ring preparation that threw), degrade
-  /// to a failed report past max_retries. kind=abort rethrows.
-  frameworks::RunReport run_with_recovery(const frameworks::BatchSpec& spec,
-                                          pipeline::BatchContext& ctx,
-                                          std::uint32_t failed_attempts,
-                                          std::string last_reason);
+  /// Re-run a ring batch whose first attempt threw the transient
+  /// InjectedFault `last_reason`: retry with virtual backoff, degrade to a
+  /// failed report past max_retries. kind=abort rethrows into the ring's
+  /// unwind guard.
+  frameworks::RunReport retry_batch(const frameworks::BatchSpec& spec,
+                                    pipeline::BatchContext& ctx,
+                                    std::string last_reason);
   frameworks::RunReport degraded_report(const frameworks::BatchSpec& spec,
                                         const std::string& reason,
                                         std::uint32_t retries,

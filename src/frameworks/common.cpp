@@ -152,8 +152,8 @@ void preprocess_into(const Dataset& data, const BatchSpec& spec,
       formats);
   ctx.batch_vids() = exec.sampler().pick_batch(spec.batch_size,
                                                spec.batch_index);
-  exec.run_serial_into(ctx.batch_vids(), ctx.table(), ctx.preproc(),
-                       ctx.scratch());
+  exec.run_into(ctx.batch_vids(), ctx.table(), ctx.preproc(),
+                ctx.scratch());
   ctx.workload() = pipeline::workload_from(ctx.preproc().batch,
                                            data.spec.feature_dim);
   ctx.schedule() = pipeline::plan_preprocessing(ctx.workload(), plan);

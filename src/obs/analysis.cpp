@@ -1,7 +1,6 @@
 #include "obs/analysis.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <string_view>
 
 namespace gt::obs {
@@ -121,40 +120,30 @@ TraceAnalysis TraceAnalysis::from_tracer(const Tracer& tracer) {
   return from_events(tracer.snapshot());
 }
 
-namespace {
-
-void num(std::ostream& os, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  os << buf;
-}
-
-}  // namespace
-
 void TraceAnalysis::write_json(std::ostream& os, int indent) const {
   const std::string pad(static_cast<std::size_t>(indent), ' ');
   const std::string in1 = pad + "  ", in2 = pad + "    ";
   os << "{\n" << in1 << "\"critical_path_us\": ";
-  num(os, critical_path_us);
+  write_json_number(os, critical_path_us);
   os << ",\n" << in1 << "\"overlap\": {\n";
   os << in2 << "\"efficiency\": ";
-  num(os, overlap_efficiency);
+  write_json_number(os, overlap_efficiency);
   os << ",\n" << in2 << "\"gpu_busy_us\": ";
-  num(os, gpu_busy_us);
+  write_json_number(os, gpu_busy_us);
   os << ",\n" << in2 << "\"overlap_us\": ";
-  num(os, overlap_us);
+  write_json_number(os, overlap_us);
   os << ",\n" << in2 << "\"preproc_busy_us\": ";
-  num(os, preproc_busy_us);
+  write_json_number(os, preproc_busy_us);
   os << "\n" << in1 << "},\n";
   os << in1 << "\"pcie\": {\n";
   os << in2 << "\"busy_us\": ";
-  num(os, pcie_busy_us);
+  write_json_number(os, pcie_busy_us);
   os << ",\n" << in2 << "\"idle_fraction\": ";
-  num(os, pcie_idle_fraction);
+  write_json_number(os, pcie_idle_fraction);
   os << "\n" << in1 << "},\n";
   os << in1 << "\"sim_event_count\": " << sim_event_count << ",\n";
   os << in1 << "\"span_us\": ";
-  num(os, span_us);
+  write_json_number(os, span_us);
   // Both stage maps list bwp/fwp alongside the four preprocessing stages,
   // keys in sorted order (bwp, fwp, lookup, reindex, sampling, transfer).
   const std::pair<const char*, double> stage_pairs_us[] = {
@@ -171,7 +160,7 @@ void TraceAnalysis::write_json(std::ostream& os, int indent) const {
     for (const auto& [name, v] : pairs) {
       os << (first ? "\n" : ",\n") << in2 << "\"" << name << "\": ";
       first = false;
-      num(os, v);
+      write_json_number(os, v);
     }
     os << "\n" << in1 << "}";
   };

@@ -13,19 +13,6 @@ namespace gt::obs::attrib {
 
 namespace {
 
-void write_num(std::ostream& os, double v) {
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
-  os << buf;
-}
-
-void write_str(std::ostream& os, std::string_view s) {
-  std::string out;
-  json_escape(s, out);
-  os << '"' << out << '"';
-}
-
 std::string fmt(double v) {
   char buf[40];
   std::snprintf(buf, sizeof(buf), "%.3f", v);
@@ -218,27 +205,27 @@ void write_text(const Attribution& a, std::ostream& os, std::size_t top_n) {
 void write_json(const Attribution& a, std::ostream& os) {
   os << "{\n  \"schema_version\": 1,\n";
   os << "  \"end_to_end_us_per_batch\": {\"base\": ";
-  write_num(os, a.base_e2e_us);
+  write_json_number(os, a.base_e2e_us);
   os << ", \"current\": ";
-  write_num(os, a.cur_e2e_us);
+  write_json_number(os, a.cur_e2e_us);
   os << ", \"delta\": ";
-  write_num(os, a.delta_e2e_us);
+  write_json_number(os, a.delta_e2e_us);
   os << "},\n  \"stage_delta_sum_us\": ";
-  write_num(os, a.stage_delta_sum_us);
+  write_json_number(os, a.stage_delta_sum_us);
   os << ",\n  \"kernel_delta_sum_us\": ";
-  write_num(os, a.kernel_delta_sum_us);
+  write_json_number(os, a.kernel_delta_sum_us);
   os << ",\n  \"stages\": [";
   bool first = true;
   for (const StageDelta& s : a.stages) {
     os << (first ? "\n" : ",\n") << "    {\"name\": ";
     first = false;
-    write_str(os, s.name);
+    write_json_string(os, s.name);
     os << ", \"base_us\": ";
-    write_num(os, s.base_us);
+    write_json_number(os, s.base_us);
     os << ", \"current_us\": ";
-    write_num(os, s.cur_us);
+    write_json_number(os, s.cur_us);
     os << ", \"delta_us\": ";
-    write_num(os, s.delta_us);
+    write_json_number(os, s.delta_us);
     os << "}";
   }
   os << "\n  ],\n  \"kernels\": [";
@@ -246,22 +233,22 @@ void write_json(const Attribution& a, std::ostream& os) {
   for (const KernelDelta& k : a.kernels) {
     os << (first ? "\n" : ",\n") << "    {\"key\": ";
     first = false;
-    write_str(os, k.key);
+    write_json_string(os, k.key);
     os << ", \"phase\": ";
-    write_str(os, k.phase);
+    write_json_string(os, k.phase);
     os << ", \"base_us\": ";
-    write_num(os, k.base_us);
+    write_json_number(os, k.base_us);
     os << ", \"current_us\": ";
-    write_num(os, k.cur_us);
+    write_json_number(os, k.cur_us);
     os << ", \"delta_us\": ";
-    write_num(os, k.delta_us);
+    write_json_number(os, k.delta_us);
     os << "}";
   }
   os << (first ? "]" : "\n  ]") << ",\n";
   os << "  \"costmodel_residual_p95_pct\": {\"base\": ";
-  write_num(os, a.base_residual_p95_pct);
+  write_json_number(os, a.base_residual_p95_pct);
   os << ", \"current\": ";
-  write_num(os, a.cur_residual_p95_pct);
+  write_json_number(os, a.cur_residual_p95_pct);
   os << "}\n}\n";
 }
 

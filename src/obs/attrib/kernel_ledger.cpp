@@ -16,22 +16,12 @@ namespace gt::obs::attrib {
 
 namespace {
 
-// %.10g: wide enough that re-parsed sums reproduce the invariant checks to
-// ~1e-6 relative, still a canonical shortest-ish form so identical
-// accumulations serialize byte-identically (house style elsewhere is %.6g;
-// the ledger is the one artifact whose numbers get *summed* downstream).
-void write_num(std::ostream& os, double v) {
-  if (!std::isfinite(v)) v = 0.0;
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.10g", v);
-  os << buf;
-}
-
-void write_str(std::ostream& os, std::string_view s) {
-  std::string out;
-  json_escape(s, out);
-  os << '"' << out << '"';
-}
+// 10 significant digits: wide enough that re-parsed sums reproduce the
+// invariant checks to ~1e-6 relative, still a canonical shortest-ish form
+// so identical accumulations serialize byte-identically (house style
+// elsewhere is 6; the ledger is the one artifact whose numbers get
+// *summed* downstream).
+constexpr int kLedgerDigits = 10;
 
 constexpr const char* kStageNames[4] = {"sampling", "reindex", "lookup",
                                         "transfer"};
@@ -181,29 +171,29 @@ void KernelLedger::write_json(std::ostream& os) const {
   std::lock_guard<std::mutex> lock(mu_);
   os << "{\n  \"schema_version\": " << kKernelLedgerSchemaVersion << ",\n";
   os << "  \"meta\": {\"drift_threshold_pct\": ";
-  write_num(os, costmodel_drift_threshold_pct());
+  write_json_number(os, costmodel_drift_threshold_pct(), kLedgerDigits);
   os << "},\n";
 
   os << "  \"totals\": {\n";
   os << "    \"batches\": " << batches_ << ",\n";
   os << "    \"end_to_end_us\": ";
-  write_num(os, sums_.end_to_end_us);
+  write_json_number(os, sums_.end_to_end_us, kLedgerDigits);
   os << ",\n    \"makespan_us\": ";
-  write_num(os, sums_.makespan_us);
+  write_json_number(os, sums_.makespan_us, kLedgerDigits);
   os << ",\n";
   for (int i = 0; i < 4; ++i) {
     os << "    \"" << kStageNames[i] << "_us\": ";
-    write_num(os, sums_.stage_busy_us[i]);
+    write_json_number(os, sums_.stage_busy_us[i], kLedgerDigits);
     os << ",\n";
   }
   os << "    \"preproc_parallel_us\": ";
-  write_num(os, preproc_parallel_us_);
+  write_json_number(os, preproc_parallel_us_, kLedgerDigits);
   os << ",\n    \"fwp_us\": ";
-  write_num(os, sums_.fwp_us);
+  write_json_number(os, sums_.fwp_us, kLedgerDigits);
   os << ",\n    \"bwp_us\": ";
-  write_num(os, sums_.bwp_us);
+  write_json_number(os, sums_.bwp_us, kLedgerDigits);
   os << ",\n    \"overlap_hidden_us\": ";
-  write_num(os, overlap_hidden_us_);
+  write_json_number(os, overlap_hidden_us_, kLedgerDigits);
   os << "\n  },\n";
 
   os << "  \"kernels\": {";
@@ -211,24 +201,24 @@ void KernelLedger::write_json(std::ostream& os) const {
   for (const auto& [key, cls] : kernels_) {
     os << (first ? "\n" : ",\n") << "    ";
     first = false;
-    write_str(os, key);
+    write_json_string(os, key);
     os << ": {\"name\": ";
-    write_str(os, cls.name);
+    write_json_string(os, cls.name);
     os << ", \"category\": ";
-    write_str(os, cls.category);
+    write_json_string(os, cls.category);
     os << ", \"phase\": ";
-    write_str(os, cls.phase);
+    write_json_string(os, cls.phase);
     os << ", \"shape\": ";
-    write_str(os, cls.shape);
+    write_json_string(os, cls.shape);
     if (cls.device >= 0) os << ", \"device\": " << cls.device;
     os << ", \"blocks_min\": " << cls.blocks_min
        << ", \"blocks_max\": " << cls.blocks_max
        << ", \"launches\": " << cls.launches << ", \"total_us\": ";
-    write_num(os, cls.total_us);
+    write_json_number(os, cls.total_us, kLedgerDigits);
     os << ", \"flops\": ";
-    write_num(os, cls.flops);
+    write_json_number(os, cls.flops, kLedgerDigits);
     os << ", \"global_bytes\": ";
-    write_num(os, cls.global_bytes);
+    write_json_number(os, cls.global_bytes, kLedgerDigits);
     os << "}";
   }
   os << (first ? "}" : "\n  }") << ",\n";
@@ -254,23 +244,23 @@ void KernelLedger::write_json(std::ostream& os) const {
   for (const auto& [key, cls] : costmodel_) {
     os << (first ? "\n" : ",\n") << "      ";
     first = false;
-    write_str(os, key);
+    write_json_string(os, key);
     os << ": {\"samples\": " << cls.samples
        << ", \"fitted_samples\": " << cls.fitted_samples
        << ", \"predicted_us\": ";
-    write_num(os, cls.predicted_us);
+    write_json_number(os, cls.predicted_us, kLedgerDigits);
     os << ", \"measured_us\": ";
-    write_num(os, cls.measured_us);
+    write_json_number(os, cls.measured_us, kLedgerDigits);
     os << "}";
   }
   os << (first ? "}" : "\n    }") << ",\n";
   os << "    \"residual\": {\"samples\": " << residual_pcts_.size()
      << ", \"p50_pct\": ";
-  write_num(os, p50);
+  write_json_number(os, p50, kLedgerDigits);
   os << ", \"p95_pct\": ";
-  write_num(os, p95);
+  write_json_number(os, p95, kLedgerDigits);
   os << ", \"mean_pct\": ";
-  write_num(os, mean);
+  write_json_number(os, mean, kLedgerDigits);
   os << "}\n  }\n}\n";
 }
 

@@ -1,8 +1,9 @@
 #include "obs/live/event_log.hpp"
 
 #include <cinttypes>
+#include <sstream>
 
-#include "obs/trace.hpp"  // json_escape
+#include "obs/trace.hpp"  // json_escape, write_json_number
 #include "util/log.hpp"
 
 namespace gt::obs::live {
@@ -10,12 +11,6 @@ namespace gt::obs::live {
 namespace {
 
 thread_local std::uint64_t t_correlation = 0;
-
-void append_number(std::string& out, double v) {
-  char num[48];
-  std::snprintf(num, sizeof num, "%.6g", v);
-  out += num;
-}
 
 /// gt::log sink: free-text lines become type="log" events so both streams
 /// share the clock, thread ids, and correlation ids.
@@ -81,7 +76,9 @@ Event& Event::field(const char* key, double v) {
   fields_ += '"';
   json_escape(key, fields_);
   fields_ += "\":";
-  append_number(fields_, v);
+  std::ostringstream num;
+  write_json_number(num, v);
+  fields_ += num.str();
   return *this;
 }
 

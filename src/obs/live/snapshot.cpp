@@ -1,7 +1,6 @@
 #include "obs/live/snapshot.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <stdexcept>
@@ -136,27 +135,11 @@ bool TelemetrySnapshotter::emit(const SnapshotSample& cur) {
   return true;
 }
 
-namespace {
-
-void write_number(std::ostream& os, double v) {
-  char num[48];
-  std::snprintf(num, sizeof num, "%.6g", v);
-  os << num;
-}
-
-void write_key(std::ostream& os, const std::string& name) {
-  std::string escaped;
-  json_escape(name, escaped);
-  os << '"' << escaped << "\":";
-}
-
-}  // namespace
-
 void TelemetrySnapshotter::write_snapshot(const SnapshotSample& cur,
                                           std::ostream& os) const {
   os << "{\n  \"schema_version\": " << kSnapshotSchemaVersion
      << ",\n  \"seq\": " << cur.seq << ",\n  \"ts_ms\": ";
-  write_number(os, cur.ts_ms);
+  write_json_number(os, cur.ts_ms);
   os << ",\n  \"batches\": " << cur.batches
      << ",\n  \"interval\": " << opt_.interval;
 
@@ -165,7 +148,7 @@ void TelemetrySnapshotter::write_snapshot(const SnapshotSample& cur,
   for (const auto& [name, v] : cur.counters) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_key(os, name);
+    write_json_string(os, name) << ':';
     os << v;
   }
   os << "\n  },\n  \"gauges\": {";
@@ -173,8 +156,8 @@ void TelemetrySnapshotter::write_snapshot(const SnapshotSample& cur,
   for (const auto& [name, v] : cur.gauges) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_key(os, name);
-    write_number(os, v);
+    write_json_string(os, name) << ':';
+    write_json_number(os, v);
   }
 
   os << "\n  },\n  \"rates\": {";
@@ -185,11 +168,11 @@ void TelemetrySnapshotter::write_snapshot(const SnapshotSample& cur,
     if (!r.known) continue;
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_key(os, name);
+    write_json_string(os, name) << ':';
     os << "{\"per_sec\":";
-    write_number(os, r.per_sec);
+    write_json_number(os, r.per_sec);
     os << ",\"per_batch\":";
-    write_number(os, r.per_batch);
+    write_json_number(os, r.per_batch);
     os << "}";
   }
 
@@ -199,19 +182,19 @@ void TelemetrySnapshotter::write_snapshot(const SnapshotSample& cur,
        registry_.histogram_summaries()) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_key(os, h.name);
+    write_json_string(os, h.name) << ':';
     os << "{\"count\":" << h.count << ",\"mean\":";
-    write_number(os, h.mean);
+    write_json_number(os, h.mean);
     os << ",\"min\":";
-    write_number(os, h.min);
+    write_json_number(os, h.min);
     os << ",\"max\":";
-    write_number(os, h.max);
+    write_json_number(os, h.max);
     os << ",\"p50\":";
-    write_number(os, h.p50);
+    write_json_number(os, h.p50);
     os << ",\"p95\":";
-    write_number(os, h.p95);
+    write_json_number(os, h.p95);
     os << ",\"p99\":";
-    write_number(os, h.p99);
+    write_json_number(os, h.p99);
     os << "}";
   }
 
@@ -227,15 +210,17 @@ void TelemetrySnapshotter::write_snapshot(const SnapshotSample& cur,
   os << "\n  },\n  \"stages\": {";
   for (std::size_t j = 0; j < kNumStages; ++j) {
     os << (j == 0 ? "\n    " : ",\n    ");
-    write_key(os, std::string(to_string(static_cast<Stage>(j))) + "_ms");
-    write_number(os, static_cast<double>(totals[j]) / 1e6);
+    write_json_string(os, std::string(to_string(static_cast<Stage>(j))) +
+                              "_ms")
+        << ':';
+    write_json_number(os, static_cast<double>(totals[j]) / 1e6);
   }
   os << ",\n    \"shares\": {";
   for (std::size_t j = static_cast<std::size_t>(Stage::kSample);
        j < kNumStages; ++j) {
     os << (j == static_cast<std::size_t>(Stage::kSample) ? "" : ", ");
-    write_key(os, to_string(static_cast<Stage>(j)));
-    write_number(os, fine_total_ns > 0.0
+    write_json_string(os, to_string(static_cast<Stage>(j))) << ':';
+    write_json_number(os, fine_total_ns > 0.0
                          ? static_cast<double>(totals[j]) / fine_total_ns
                          : 0.0);
   }
@@ -255,20 +240,22 @@ void TelemetrySnapshotter::write_snapshot(const SnapshotSample& cur,
     os << (first ? "\n    " : ",\n    ");
     first = false;
     os << "{\"slot\":" << s.slot << ",\"busy_ms\":";
-    write_number(os, busy / 1e6);
+    write_json_number(os, busy / 1e6);
     os << ",\"util\":";
-    write_number(os, wall_ns > 0.0 ? busy / wall_ns : 0.0);
+    write_json_number(os, wall_ns > 0.0 ? busy / wall_ns : 0.0);
     for (std::size_t j = 0; j < kNumStages; ++j) {
       os << ",";
-      write_key(os, std::string(to_string(static_cast<Stage>(j))) + "_ms");
-      write_number(os, static_cast<double>(s.stage_ns[j]) / 1e6);
+      write_json_string(os, std::string(to_string(static_cast<Stage>(j))) +
+                              "_ms")
+        << ':';
+      write_json_number(os, static_cast<double>(s.stage_ns[j]) / 1e6);
     }
     os << "}";
   }
   const double busy_mean =
       slots.empty() ? 0.0 : busy_sum / static_cast<double>(slots.size());
   os << "\n  ],\n  \"worker_skew\": ";
-  write_number(os, busy_mean > 0.0 ? busy_max / busy_mean : 0.0);
+  write_json_number(os, busy_mean > 0.0 ? busy_max / busy_mean : 0.0);
 
   os << ",\n  \"health\": {";
   if (watchdog_ != nullptr) {

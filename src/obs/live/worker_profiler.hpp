@@ -32,9 +32,9 @@ namespace gt::obs::live {
 enum class Stage : int {
   kPrepare = 0,  // whole prepare phase: frameworks.prepare_batch
   kExecute,      // whole execute phase: frameworks.run_batch
-  kSample,       // S — neighbor sampling: S.sample, S.A, S.H
+  kSample,       // S — neighbor sampling: S.sample
   kReindex,      // R — per-layer reindexing: R.layer
-  kLookup,       // K — embedding gather: K.lookup, K.chunk
+  kLookup,       // K — embedding gather: K.lookup
   kTransfer,     // T — host-to-device upload at session open: T.upload
   kForward,      // FWP kernel issue: frameworks.forward
   kBackward,     // BWP kernel issue: frameworks.backward

@@ -1,7 +1,6 @@
 #include "obs/metrics.hpp"
 
 #include <algorithm>
-#include <cstdio>
 #include <fstream>
 #include <stdexcept>
 
@@ -202,22 +201,6 @@ void MetricsRegistry::reset() {
   for (auto& [name, h] : histograms_) h->reset();
 }
 
-namespace {
-
-void write_number(std::ostream& os, double v) {
-  char num[48];
-  std::snprintf(num, sizeof num, "%.6g", v);
-  os << num;
-}
-
-void write_key(std::ostream& os, const std::string& name) {
-  std::string escaped;
-  json_escape(name, escaped);
-  os << "\"" << escaped << "\":";
-}
-
-}  // namespace
-
 void MetricsRegistry::write_json(std::ostream& os) const {
   std::lock_guard lock(mu_);
   os << "{\n  \"counters\": {";
@@ -225,7 +208,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   for (const auto& [name, c] : counters_) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_key(os, name);
+    write_json_string(os, name) << ':';
     os << c->value();
   }
   os << "\n  },\n  \"gauges\": {";
@@ -233,32 +216,32 @@ void MetricsRegistry::write_json(std::ostream& os) const {
   for (const auto& [name, g] : gauges_) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_key(os, name);
-    write_number(os, g->value());
+    write_json_string(os, name) << ':';
+    write_json_number(os, g->value());
   }
   os << "\n  },\n  \"histograms\": {";
   first = true;
   for (const auto& [name, h] : histograms_) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_key(os, name);
+    write_json_string(os, name) << ':';
     const OnlineStats s = h->stats();
     os << "{\"count\":" << s.count() << ",\"sum\":";
-    write_number(os, s.sum());
+    write_json_number(os, s.sum());
     os << ",\"mean\":";
-    write_number(os, s.mean());
+    write_json_number(os, s.mean());
     os << ",\"min\":";
-    write_number(os, s.min());
+    write_json_number(os, s.min());
     os << ",\"max\":";
-    write_number(os, s.max());
+    write_json_number(os, s.max());
     os << ",\"stdev\":";
-    write_number(os, s.stdev());
+    write_json_number(os, s.stdev());
     os << ",\"p50\":";
-    write_number(os, h->quantile(0.50));
+    write_json_number(os, h->quantile(0.50));
     os << ",\"p95\":";
-    write_number(os, h->quantile(0.95));
+    write_json_number(os, h->quantile(0.95));
     os << ",\"p99\":";
-    write_number(os, h->quantile(0.99));
+    write_json_number(os, h->quantile(0.99));
     os << ",\"buckets\":[";
     const auto& bounds = h->bounds();
     const auto counts = h->bucket_counts();
@@ -266,7 +249,7 @@ void MetricsRegistry::write_json(std::ostream& os) const {
       if (i > 0) os << ",";
       os << "{\"le\":";
       if (i < bounds.size())
-        write_number(os, bounds[i]);
+        write_json_number(os, bounds[i]);
       else
         os << "\"inf\"";
       os << ",\"count\":" << counts[i] << "}";

@@ -50,18 +50,6 @@ std::string default_build_type() {
 #endif
 }
 
-void write_num(std::ostream& os, double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%.6g", v);
-  os << buf;
-}
-
-void write_str(std::ostream& os, std::string_view s) {
-  std::string escaped;
-  json_escape(s, escaped);
-  os << '"' << escaped << '"';
-}
-
 }  // namespace
 
 std::string BenchRow::key() const {
@@ -167,16 +155,16 @@ void BenchReporter::write_json(std::ostream& os,
   for (const auto& [fig, desc] : figs) {
     os << (first ? "\n    " : ",\n    ");
     first = false;
-    write_str(os, fig);
+    write_json_string(os, fig);
     os << ": ";
-    write_str(os, desc);
+    write_json_string(os, desc);
   }
   os << "\n  },\n  \"meta\": {\n    \"binary\": ";
-  write_str(os, meta_.binary);
+  write_json_string(os, meta_.binary);
   os << ",\n    \"build_type\": ";
-  write_str(os, meta_.build_type);
+  write_json_string(os, meta_.build_type);
   os << ",\n    \"git_sha\": ";
-  write_str(os, meta_.git_sha);
+  write_json_string(os, meta_.git_sha);
   os << ",\n    \"iterations\": " << meta_.iterations;
   os << ",\n    \"threads\": " << meta_.threads;
   os << "\n  },\n  \"rows\": [";
@@ -185,19 +173,19 @@ void BenchReporter::write_json(std::ostream& os,
     os << (first ? "\n    " : ",\n    ");
     first = false;
     os << "{\"dataset\": ";
-    write_str(os, r.dataset);
+    write_json_string(os, r.dataset);
     os << ", \"figure\": ";
-    write_str(os, r.figure);
+    write_json_string(os, r.figure);
     os << ", \"framework\": ";
-    write_str(os, r.framework);
+    write_json_string(os, r.framework);
     os << ", \"measured\": ";
-    write_num(os, r.measured);
+    write_json_number(os, r.measured);
     os << ", \"metric\": ";
-    write_str(os, r.metric);
+    write_json_string(os, r.metric);
     os << ", \"paper\": ";
-    write_num(os, r.paper);
+    write_json_number(os, r.paper);
     os << ", \"unit\": ";
-    write_str(os, r.unit);
+    write_json_string(os, r.unit);
     os << "}";
   }
   os << "\n  ],\n  \"schema_version\": " << kBenchReportSchemaVersion;
@@ -391,27 +379,27 @@ void write_json_row(std::ostream& os, const RowDelta& d) {
   const BenchRow& named =
       d.status == RowDelta::Status::kNew ? d.current : d.baseline;
   os << "    {\"status\": ";
-  write_str(os, status_name(d.status));
+  write_json_string(os, status_name(d.status));
   os << ", \"figure\": ";
-  write_str(os, named.figure);
+  write_json_string(os, named.figure);
   os << ", \"metric\": ";
-  write_str(os, named.metric);
+  write_json_string(os, named.metric);
   os << ", \"dataset\": ";
-  write_str(os, named.dataset);
+  write_json_string(os, named.dataset);
   os << ", \"framework\": ";
-  write_str(os, named.framework);
+  write_json_string(os, named.framework);
   os << ", \"unit\": ";
-  write_str(os, named.unit);
+  write_json_string(os, named.unit);
   os << ", \"paper\": ";
-  write_num(os, named.paper);
+  write_json_number(os, named.paper);
   os << ", \"measured_baseline\": ";
-  write_num(os, d.baseline.measured);
+  write_json_number(os, d.baseline.measured);
   os << ", \"measured_current\": ";
-  write_num(os, d.current.measured);
+  write_json_number(os, d.current.measured);
   os << ", \"err_baseline\": ";
-  write_num(os, d.err_baseline);
+  write_json_number(os, d.err_baseline);
   os << ", \"err_current\": ";
-  write_num(os, d.err_current);
+  write_json_number(os, d.err_current);
   os << "}";
 }
 
@@ -459,17 +447,17 @@ int run_bench_diff(const std::string& baseline_path,
 
   if (opt.json) {
     os << "{\n  \"schema_version\": 1,\n  \"threshold\": ";
-    write_num(os, opt.threshold);
+    write_json_number(os, opt.threshold);
     os << ",\n  \"verdict\": ";
-    write_str(os, verdict);
+    write_json_string(os, verdict);
     os << ",\n  \"baseline\": {\"path\": ";
-    write_str(os, baseline_path);
+    write_json_string(os, baseline_path);
     os << ", \"git_sha\": ";
-    write_str(os, baseline.meta.git_sha);
+    write_json_string(os, baseline.meta.git_sha);
     os << "},\n  \"current\": {\"path\": ";
-    write_str(os, current_path);
+    write_json_string(os, current_path);
     os << ", \"git_sha\": ";
-    write_str(os, current.meta.git_sha);
+    write_json_string(os, current.meta.git_sha);
     os << "},\n  \"counts\": {\"compared\": " << diff.deltas.size()
        << ", \"regressed\": " << regressed << ", \"missing\": " << missing
        << ", \"improved\": " << improved << ", \"new\": " << fresh
@@ -489,11 +477,11 @@ int run_bench_diff(const std::string& baseline_path,
         ++shown;
         os << (first ? "\n" : ",\n") << "    {\"key\": ";
         first = false;
-        write_str(os, k.key);
+        write_json_string(os, k.key);
         os << ", \"phase\": ";
-        write_str(os, k.phase);
+        write_json_string(os, k.phase);
         os << ", \"delta_us_per_batch\": ";
-        write_num(os, k.delta_us);
+        write_json_number(os, k.delta_us);
         os << "}";
       }
     }

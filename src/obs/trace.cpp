@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 
@@ -100,6 +101,19 @@ void json_escape(std::string_view s, std::string& out) {
         }
     }
   }
+}
+
+std::ostream& write_json_number(std::ostream& os, double v, int precision) {
+  if (!std::isfinite(v)) v = 0.0;
+  char num[48];
+  std::snprintf(num, sizeof num, "%.*g", precision, v);
+  return os << num;
+}
+
+std::ostream& write_json_string(std::ostream& os, std::string_view s) {
+  std::string escaped;
+  json_escape(s, escaped);
+  return os << '"' << escaped << '"';
 }
 
 namespace {

@@ -180,6 +180,14 @@ struct NullSpan {
 /// Append a JSON-escaped copy of `s` (no surrounding quotes) to `out`.
 void json_escape(std::string_view s, std::string& out);
 
+/// Write `v` as a JSON number with `precision` significant digits (%.*g).
+/// JSON has no NaN or infinity, so a non-finite `v` is written as 0.
+std::ostream& write_json_number(std::ostream& os, double v,
+                                int precision = 6);
+
+/// Write `s` as a quoted, escaped JSON string.
+std::ostream& write_json_string(std::ostream& os, std::string_view s);
+
 }  // namespace gt::obs
 
 // Scoped-span macros: compile to nothing under GT_OBS_DISABLE so a

@@ -1,16 +1,15 @@
-// Real (data-producing) preprocessing executors.
+// Real (data-producing) preprocessing executor.
 //
-// The discrete-event planner prices schedules; these executors actually
-// run sampling, reindexing, and embedding lookup — serially or across a
-// thread pool structured like the service-wide tensor scheduler (parallel
-// algorithm chunks, hash updates serialized in deterministic order). The
-// parallel path must produce bit-identical results to the serial one;
-// tests enforce it. Real hash-table contention counters are reported for
-// the Fig 14 measurements.
+// The discrete-event planner prices schedules; this executor actually runs
+// sampling, reindexing, and embedding lookup, structured like the
+// service-wide tensor scheduler: A chunks of every sampling hop, hash
+// updates (H) serialized in chunk order, then R per layer and K in row
+// chunks. The chunks fan out over a thread pool when one is given and run
+// inline otherwise; the result is bit-identical either way (tests enforce
+// it). Real hash-table contention counters are reported for the Fig 14
+// measurements.
 //
-// Both executors come in two forms: the owning run_serial/run_parallel
-// (fresh hash table and result per call) and the context-backed
-// run_serial_into/run_parallel_into, which fill a caller-held
+// run() returns a fresh result; run_into() fills a caller-held
 // PreprocResult + VidHashTable + PreprocScratch so the steady-state batch
 // loop reuses every buffer (gt::BatchContext owns that trio).
 #pragma once
@@ -43,10 +42,9 @@ struct PreprocResult {
   }
 };
 
-/// Reusable working memory the executors need besides the result itself.
+/// Reusable working memory the executor needs besides the result itself.
 struct PreprocScratch {
-  std::vector<Coo> layer_coo;                 // per-layer reindex staging
-  std::vector<sampling::HopEdges> chunk_edges;  // per-A-chunk expansion
+  std::vector<Coo> layer_coo;  // per-layer reindex staging
 };
 
 class PreprocExecutor {
@@ -63,26 +61,17 @@ class PreprocExecutor {
     return formats_;
   }
 
-  /// Single-threaded: S hops, then R per layer, then K.
-  PreprocResult run_serial(std::span<const Vid> batch_vids) const;
+  /// S hops, then R per layer, then K, into a fresh result. With a pool,
+  /// A and K run in `chunks` chunks and the R layers concurrently.
+  PreprocResult run(std::span<const Vid> batch_vids,
+                    ThreadPool* pool = nullptr, std::size_t chunks = 1) const;
 
-  /// Service-wide structured: A chunks fan out over the pool, H updates
-  /// apply serially in chunk order (deterministic VIDs), R layers and K
-  /// chunks run concurrently afterwards.
-  PreprocResult run_parallel(std::span<const Vid> batch_vids,
-                             ThreadPool& pool,
-                             std::size_t chunks = 8) const;
-
-  /// Context-backed run_serial: identical output, zero steady-state
-  /// allocation. `table` must be clear()ed by the caller.
-  void run_serial_into(std::span<const Vid> batch_vids, sampling::VidHashTable& table,
-                       PreprocResult& out, PreprocScratch& scratch) const;
-
-  /// Context-backed run_parallel; same determinism contract as
-  /// run_parallel (bit-identical to serial).
-  void run_parallel_into(std::span<const Vid> batch_vids, ThreadPool& pool,
-                         std::size_t chunks, sampling::VidHashTable& table,
-                         PreprocResult& out, PreprocScratch& scratch) const;
+  /// run() into caller-held buffers: identical output, zero steady-state
+  /// allocation on the pool-less path. `table` must be clear()ed by the
+  /// caller.
+  void run_into(std::span<const Vid> batch_vids, sampling::VidHashTable& table,
+                PreprocResult& out, PreprocScratch& scratch,
+                ThreadPool* pool = nullptr, std::size_t chunks = 1) const;
 
  private:
   const Csr& graph_;

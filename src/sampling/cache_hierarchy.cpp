@@ -50,7 +50,7 @@ CacheHierarchy::CacheHierarchy(const Csr& graph, const EmbeddingTable& table,
   static_rows = std::min<std::size_t>(static_rows, graph.num_vertices);
 
   if (static_rows > 0) {
-    // Identical selection to EmbeddingCache: out-degree = occurrences as a
+    // Highest out-degree first (PaGraph): out-degree = occurrences as a
     // sampled source in the dst-indexed CSR's col_idx, ties by vid.
     std::vector<std::uint32_t> out_degree(graph.num_vertices, 0);
     for (Vid s : graph.col_idx) ++out_degree[s];

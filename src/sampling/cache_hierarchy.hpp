@@ -1,12 +1,13 @@
 // Multi-tier embedding cache hierarchy for the K/T stages (DESIGN.md §15).
 //
-// The PaGraph-style static cache (embedding_cache.hpp, paper §VII) models a
-// degree-pinned tier but is rebuilt — selection *and* row upload — on every
-// batch. This type owns the tiers for the lifetime of a dataset:
+// The static tier is the PaGraph-style degree-ordered cache the paper
+// discusses in §VII: sampled sources are drawn in proportion to out-degree,
+// so pinning the highest-out-degree vertices catches most lookups on skewed
+// graphs and few on near-uniform ones. This type owns the tiers for the
+// lifetime of a dataset:
 //
 //   * a **static tier**: the highest-out-degree vertices, selected once
-//     (same ordering as EmbeddingCache so hit rates are comparable) and
-//     mirrored host-side; per-batch devices re-bind the resident rows
+//     and mirrored host-side; per-batch devices re-bind the resident rows
 //     without re-paying selection or upload;
 //   * a **dynamic tier**: LRU or LFU over recently-used rows, with
 //     replacement driven by *batch-index virtual time* and total-order
@@ -50,7 +51,7 @@
 namespace gt::sampling {
 
 enum class CachePolicy {
-  kStatic,  ///< whole budget degree-pinned (legacy EmbeddingCache behavior)
+  kStatic,  ///< whole budget degree-pinned (PaGraph-style)
   kLru,     ///< whole budget dynamic, least-recently-used eviction
   kLfu,     ///< whole budget dynamic, least-frequently-used eviction
   kTiered,  ///< budget split static / dynamic-LRU (static_fraction)
@@ -157,7 +158,7 @@ class CacheHierarchy {
 
   /// Assemble the layer-0 input table (total_rows x dim) from the resident
   /// static rows plus the freshly gathered rows in `gather_buffer`
-  /// (lookup order). Mirrors EmbeddingCache::assemble.
+  /// (lookup order), one device kernel.
   gpusim::BufferId assemble(gpusim::Device& dev, gpusim::BufferId static_buf,
                             const Lookup& look,
                             gpusim::BufferId gather_buffer,

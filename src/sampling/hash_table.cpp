@@ -45,11 +45,6 @@ Vid VidHashTable::lookup(Vid orig) const {
   return it == stripe.map.end() ? kInvalidVid : it->second;
 }
 
-std::vector<Vid> VidHashTable::insertion_order() const {
-  std::lock_guard lock(order_mu_);
-  return order_;
-}
-
 void VidHashTable::insertion_order_into(std::vector<Vid>& out) const {
   std::lock_guard lock(order_mu_);
   out.assign(order_.begin(), order_.end());

@@ -37,12 +37,9 @@ class VidHashTable {
     return next_id_.load(std::memory_order_acquire);
   }
 
-  /// Insertion-ordered original VIDs (new VID -> original VID). Only valid
-  /// while no concurrent insertions run.
-  std::vector<Vid> insertion_order() const;
-
-  /// Allocation-free insertion_order(): assigns into `out`, reusing its
-  /// capacity. Only valid while no concurrent insertions run.
+  /// Assign the insertion-ordered original VIDs (new VID -> original VID)
+  /// to `out`, reusing its capacity. Only valid while no concurrent
+  /// insertions run.
   void insertion_order_into(std::vector<Vid>& out) const;
 
   /// Drop every entry but keep bucket arrays and the order vector's

@@ -1,12 +1,12 @@
 #include "sampling/sampler.hpp"
 
-#include <stdexcept>
-
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "fault/fault.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace gt::sampling {
 
@@ -107,7 +107,8 @@ SampledBatch NeighborSampler::sample(std::span<const Vid> batch,
 
 void NeighborSampler::sample_into(std::span<const Vid> batch,
                                   std::uint32_t layers, VidHashTable& table,
-                                  SampledBatch& out) const {
+                                  SampledBatch& out, ThreadPool* pool,
+                                  std::size_t chunks) const {
   fault::check(fault::Site::kPreprocSample);
   if (layers == 0) throw std::invalid_argument("need at least one layer");
   if (table.size() != 0)
@@ -125,22 +126,37 @@ void NeighborSampler::sample_into(std::span<const Vid> batch,
   }
   out.set_sizes.push_back(table.size());
 
-  // Frontier for hop h: vertices first inserted during hop h-1.
-  std::vector<Vid> frontier(batch.begin(), batch.end());
+  std::vector<HopEdges> staged(std::max<std::size_t>(chunks, 1) - 1);
+  // Frontier for hop h: the vertices first inserted during hop h-1, read in
+  // place from the insertion order.
+  std::span<const Vid> frontier = out.batch;
   for (std::uint32_t h = 1; h <= layers; ++h) {
     HopEdges& edges = out.hops[h - 1];
-    choose_neighbors_into(frontier, h, edges);
-    insert_vertices(table, edges);
-    const Vid prev_size = out.set_sizes.back();
-    const Vid new_size = table.size();
-    out.set_sizes.push_back(new_size);
-    // Next frontier: the newly discovered vertices, in insertion order.
-    if (h < layers) {
-      const auto order = table.insertion_order();
-      frontier.assign(order.begin() + prev_size, order.begin() + new_size);
+    // A: pure per-vertex work, so every chunking expands the same edges.
+    // Slots are cleared up front because short frontiers run fewer chunks.
+    edges.src.clear();
+    edges.dst.clear();
+    for (HopEdges& s : staged) {
+      s.src.clear();
+      s.dst.clear();
     }
+    run_chunks(pool, 0, frontier.size(), staged.size() + 1,
+               [&](std::size_t c, std::size_t lo, std::size_t hi) {
+                 choose_neighbors_into(frontier.subspan(lo, hi - lo), h,
+                                       c == 0 ? edges : staged[c - 1]);
+               });
+    // H: serialized in chunk order -> deterministic VID assignment.
+    insert_vertices(table, edges);
+    for (const HopEdges& s : staged) {
+      insert_vertices(table, s);
+      edges.src.insert(edges.src.end(), s.src.begin(), s.src.end());
+      edges.dst.insert(edges.dst.end(), s.dst.begin(), s.dst.end());
+    }
+    const Vid prev_size = out.set_sizes.back();
+    out.set_sizes.push_back(table.size());
+    table.insertion_order_into(out.vid_order);
+    frontier = std::span<const Vid>(out.vid_order).subspan(prev_size);
   }
-  table.insertion_order_into(out.vid_order);
 }
 
 std::vector<Vid> NeighborSampler::pick_batch(std::size_t batch_size,

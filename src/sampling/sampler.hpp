@@ -22,6 +22,10 @@
 #include "graph/csr.hpp"
 #include "sampling/hash_table.hpp"
 
+namespace gt {
+class ThreadPool;
+}
+
 namespace gt::sampling {
 
 /// Neighbor-selection priority (paper §II-B: "picking n vertices following
@@ -89,17 +93,24 @@ class NeighborSampler {
   /// already present; srcs may be new).
   static void insert_vertices(VidHashTable& table, const HopEdges& edges);
 
-  /// Serial end-to-end sampling of `layers` hops, for frameworks without a
-  /// pipelined preprocessor. `table` must be empty; it is filled as a side
-  /// effect (reindexing reads it afterwards).
+  /// End-to-end sampling of `layers` hops into a fresh result. `table`
+  /// must be empty; it is filled as a side effect (reindexing reads it
+  /// afterwards).
   SampledBatch sample(std::span<const Vid> batch, std::uint32_t layers,
                       VidHashTable& table) const;
 
-  /// Context-backed sample(): writes into `out`, reusing the capacity of
-  /// its vectors (hops, set_sizes, vid_order) across batches. `table` must
-  /// still start empty — callers clear() a reused table first.
+  /// sample() into `out`, reusing the capacity of its vectors (hops,
+  /// set_sizes, vid_order) across batches. `table` must still start empty
+  /// — callers clear() a reused table first.
+  ///
+  /// Every hop runs A over the frontier in `chunks` chunks — on `pool`
+  /// when one is given, inline otherwise — and then H serially in chunk
+  /// order, so the new VIDs and the order of hash-table operations are the
+  /// same for every pool and chunk count. Chunk 0 expands straight into
+  /// the hop's edge list; only chunks 1.. are staged.
   void sample_into(std::span<const Vid> batch, std::uint32_t layers,
-                   VidHashTable& table, SampledBatch& out) const;
+                   VidHashTable& table, SampledBatch& out,
+                   ThreadPool* pool = nullptr, std::size_t chunks = 1) const;
 
   /// Deterministically pick a batch of distinct destination vertices.
   std::vector<Vid> pick_batch(std::size_t batch_size,

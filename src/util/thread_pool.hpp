@@ -20,6 +20,24 @@
 
 namespace gt {
 
+/// Split [begin, end) into at most `chunks` contiguous ranges and call
+/// `fn(chunk_index, chunk_begin, chunk_end)` for each, in order, on this
+/// thread. The boundaries are a pure function of (begin, end, chunks);
+/// ThreadPool::parallel_for fans out exactly these chunks.
+template <typename F>
+void for_each_chunk(std::size_t begin, std::size_t end, std::size_t chunks,
+                    F&& fn) {
+  if (end <= begin) return;
+  const std::size_t n = end - begin;
+  chunks = std::max<std::size_t>(1, std::min(chunks, n));
+  const std::size_t per = (n + chunks - 1) / chunks;
+  for (std::size_t c = 0; c < chunks; ++c) {
+    const std::size_t lo = begin + c * per;
+    if (lo >= end) break;
+    fn(c, lo, std::min(end, lo + per));
+  }
+}
+
 class ThreadPool {
  public:
   /// Spawns `num_threads` workers (>= 1).
@@ -49,13 +67,11 @@ class ThreadPool {
   /// Block until the queue is empty and every worker is idle.
   void wait_idle();
 
-  /// Split [begin, end) into at most `chunks` contiguous ranges and run
+  /// Run every for_each_chunk chunk of [begin, end) as
   /// `fn(chunk_index, chunk_begin, chunk_end)` on the pool, blocking until
-  /// every chunk finishes. Chunk boundaries are a pure function of
-  /// (begin, end, chunks) — identical to the hand-rolled fan-out loops this
-  /// replaces — so chunked algorithms stay deterministic. The first
-  /// exception thrown by any chunk is rethrown on the calling thread after
-  /// all chunks complete.
+  /// every chunk finishes. The boundaries are for_each_chunk's, so chunked
+  /// algorithms stay deterministic. The first exception thrown by any
+  /// chunk is rethrown on the calling thread after all chunks complete.
   ///
   /// FLOPs counted by a chunk land in the *worker's* thread-local
   /// FlopCounter; each chunk's delta is captured and the sum is merged into
@@ -65,23 +81,20 @@ class ThreadPool {
   void parallel_for(std::size_t begin, std::size_t end, std::size_t chunks,
                     F&& fn) {
     if (end <= begin) return;
-    const std::size_t n = end - begin;
-    chunks = std::max<std::size_t>(1, std::min(chunks, n));
-    const std::size_t per = (n + chunks - 1) / chunks;
     std::atomic<std::uint64_t> worker_flops{0};
     std::vector<std::future<void>> futures;
-    futures.reserve(chunks);
-    for (std::size_t c = 0; c < chunks; ++c) {
-      const std::size_t lo = begin + c * per;
-      if (lo >= end) break;
-      const std::size_t hi = std::min(end, lo + per);
-      futures.push_back(submit([&fn, &worker_flops, c, lo, hi] {
-        const std::uint64_t before = FlopCounter::instance().count();
-        fn(c, lo, hi);
-        worker_flops.fetch_add(FlopCounter::instance().count() - before,
-                               std::memory_order_relaxed);
-      }));
-    }
+    futures.reserve(std::min(chunks, end - begin));
+    for_each_chunk(begin, end, chunks,
+                   [&](std::size_t c, std::size_t lo, std::size_t hi) {
+                     futures.push_back(submit([&fn, &worker_flops, c, lo, hi] {
+                       const std::uint64_t before =
+                           FlopCounter::instance().count();
+                       fn(c, lo, hi);
+                       worker_flops.fetch_add(
+                           FlopCounter::instance().count() - before,
+                           std::memory_order_relaxed);
+                     }));
+                   });
     std::exception_ptr first_error;
     for (auto& f : futures) {
       try {
@@ -106,5 +119,16 @@ class ThreadPool {
   std::size_t active_ = 0;
   bool stop_ = false;
 };
+
+/// `pool->parallel_for(begin, end, chunks, fn)`, or the same chunks run
+/// inline in chunk order when `pool` is null.
+template <typename F>
+void run_chunks(ThreadPool* pool, std::size_t begin, std::size_t end,
+                std::size_t chunks, F&& fn) {
+  if (pool != nullptr)
+    pool->parallel_for(begin, end, chunks, fn);
+  else
+    for_each_chunk(begin, end, chunks, fn);
+}
 
 }  // namespace gt

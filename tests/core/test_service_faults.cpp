@@ -97,7 +97,7 @@ TEST(ServiceFaults, AbortDuringExecuteAlsoDrainsAndRecovers) {
   }
 }
 
-// An abort can also fire on a RETRY — the attempt run_with_recovery
+// An abort can also fire on a RETRY — the attempt retry_batch
 // launches from inside the ring's catch handler after a transient fault
 // burned attempt #0. That unwind starts while later batches are still
 // preparing on the pool; before the unwind guard it skipped the drain

@@ -29,11 +29,8 @@ const std::map<std::string, Stage>& stage_of_span() {
       {"frameworks.prepare_batch", Stage::kPrepare},
       {"frameworks.run_batch", Stage::kExecute},
       {"S.sample", Stage::kSample},
-      {"S.A", Stage::kSample},
-      {"S.H", Stage::kSample},
       {"R.layer", Stage::kReindex},
       {"K.lookup", Stage::kLookup},
-      {"K.chunk", Stage::kLookup},
       {"T.upload", Stage::kTransfer},
       {"frameworks.forward", Stage::kForward},
       {"frameworks.backward", Stage::kBackward}};

@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -127,36 +128,62 @@ TEST(ServiceTelemetry, ChaosRunEmitsSnapshotsAndCorrelatedEvents) {
 
 // A kind=abort fault unwinds the batch ring; before the exception leaves
 // the service, live telemetry must flush a crash.flush event and
-// crash-metrics.json — for training and serving alike, and at workers == 1
-// (the ring's inline depth) as well as with preparations in flight.
+// crash-metrics.json — for training and serving alike, at workers == 1
+// (the ring's inline depth) as well as with preparations in flight, and
+// for the one-batch calls and the serve warm-up, which run at depth 1.
 TEST(ServiceTelemetry, AbortUnwindCrashFlushesAtEveryDepth) {
-  for (const bool serving : {false, true}) {
-    for (std::size_t workers : {std::size_t{1}, std::size_t{4}}) {
-      SCOPED_TRACE(std::string(serving ? "serve" : "train") + " workers " +
-                   std::to_string(workers));
-      const std::string dir = fresh_dir("abort");
-      ServiceOptions opt = base_options();
-      opt.workers = workers;
-      opt.fault_spec = "gpusim.kernel@batch=1:kind=abort";
-      opt.telemetry.out_dir = dir;
-      {
-        GnnService service = make_service(opt);
-        if (serving) {
-          serving::ServeConfig cfg;  // warm-up is batch 0, serving starts at 1
-          cfg.requests = 16;
-          cfg.vertices_per_request = 16;
-          EXPECT_THROW(service.serve(cfg), fault::InjectedFault);
-        } else {
-          EXPECT_THROW(service.train_batches(4), fault::InjectedFault);
-        }
-      }
-      EXPECT_TRUE(std::filesystem::exists(dir + "/crash-metrics.json"));
-      std::size_t flushes = 0;
-      for (const std::string& line : read_lines(dir + "/events.jsonl"))
-        flushes += has_type(line, "crash.flush");
-      EXPECT_EQ(flushes, 1u);
-      std::filesystem::remove_all(dir);
+  serving::ServeConfig cfg;  // warm-up is batch 0, serving starts at 1
+  cfg.requests = 16;
+  cfg.vertices_per_request = 16;
+  const std::function<void(GnnService&)> serve = [cfg](GnnService& s) {
+    s.serve(cfg);
+  };
+  const std::function<void(GnnService&)> train_batches = [](GnnService& s) {
+    s.train_batches(4);
+  };
+  const std::function<void(GnnService&)> train_batch = [](GnnService& s) {
+    s.train_batch();
+    s.train_batch();
+  };
+  const std::function<void(GnnService&)> infer_batch = [](GnnService& s) {
+    s.infer_batch();
+    s.infer_batch();
+  };
+  const std::string at1 = "gpusim.kernel@batch=1:kind=abort";
+  const std::string at0 = "gpusim.kernel@batch=0:kind=abort";
+  struct Case {
+    const char* name;
+    std::size_t workers;
+    std::string fault_spec;
+    std::function<void(GnnService&)> run;
+  };
+  const Case cases[] = {
+      {"train_batches", 1, at1, train_batches},
+      {"train_batches", 4, at1, train_batches},
+      {"serve", 1, at1, serve},
+      {"serve", 4, at1, serve},
+      {"train_batch", 1, at1, train_batch},
+      {"infer_batch", 1, at1, infer_batch},
+      {"serve warm-up", 1, at0, serve},
+      {"serve warm-up", 4, at0, serve}};
+  for (const Case& c : cases) {
+    SCOPED_TRACE(std::string(c.name) + " workers " +
+                 std::to_string(c.workers));
+    const std::string dir = fresh_dir("abort");
+    ServiceOptions opt = base_options();
+    opt.workers = c.workers;
+    opt.fault_spec = c.fault_spec;
+    opt.telemetry.out_dir = dir;
+    {
+      GnnService service = make_service(opt);
+      EXPECT_THROW(c.run(service), fault::InjectedFault);
     }
+    EXPECT_TRUE(std::filesystem::exists(dir + "/crash-metrics.json"));
+    std::size_t flushes = 0;
+    for (const std::string& line : read_lines(dir + "/events.jsonl"))
+      flushes += has_type(line, "crash.flush");
+    EXPECT_EQ(flushes, 1u);
+    std::filesystem::remove_all(dir);
   }
 }
 

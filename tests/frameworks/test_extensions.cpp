@@ -58,7 +58,7 @@ TEST(Inference, DynamicGtDecidesForwardOnly) {
   EXPECT_EQ(r.loss, 0.0f);  // no loss computed
 }
 
-TEST(EmbeddingCacheFramework, SameLossShorterPreprocessing) {
+TEST(StaticCacheFramework, SameLossShorterPreprocessing) {
   Dataset data = generate("wiki-talk", 5);  // heavy features: K/T dominate
   auto model = models::gcn(8, 2);
   BatchSpec spec;
@@ -79,7 +79,7 @@ TEST(EmbeddingCacheFramework, SameLossShorterPreprocessing) {
   EXPECT_LT(with.preproc_makespan_us, without.preproc_makespan_us);
 }
 
-TEST(EmbeddingCacheFramework, ZeroHitRateOnUniformGraphIsHarmless) {
+TEST(StaticCacheFramework, ZeroHitRateOnUniformGraphIsHarmless) {
   // roadnet-ca has near-uniform degrees: the cache catches little (the
   // PaGraph sensitivity the paper notes), but training must stay correct.
   Dataset data = generate("roadnet-ca", 5);

@@ -77,8 +77,8 @@ TEST(Properties, DifferentBatchesSampleDifferentSubgraphs) {
   sampling::ReindexFormats formats{.csr = true};
   pipeline::PreprocExecutor exec(data.csr, data.embeddings, data.spec.fanout,
                                  2, 42, formats);
-  auto a = exec.run_serial(exec.sampler().pick_batch(64, 0));
-  auto b = exec.run_serial(exec.sampler().pick_batch(64, 1));
+  auto a = exec.run(exec.sampler().pick_batch(64, 0));
+  auto b = exec.run(exec.sampler().pick_batch(64, 1));
   EXPECT_NE(a.batch.vid_order, b.batch.vid_order);
 }
 
@@ -89,7 +89,7 @@ TEST(Properties, TransferNeverStartsBeforeSamplingCompletes) {
   sampling::ReindexFormats formats{.csr = true};
   pipeline::PreprocExecutor exec(data.csr, data.embeddings, data.spec.fanout,
                                  2, 42, formats);
-  auto pre = exec.run_serial(exec.sampler().pick_batch(300, 0));
+  auto pre = exec.run(exec.sampler().pick_batch(300, 0));
   pipeline::BatchWorkload w =
       pipeline::workload_from(pre.batch, data.spec.feature_dim);
   pipeline::PlanOptions opt;
@@ -115,7 +115,7 @@ TEST(Properties, MakespanRespectsWorkConservation) {
   sampling::ReindexFormats formats{.csr = true};
   pipeline::PreprocExecutor exec(data.csr, data.embeddings, data.spec.fanout,
                                  2, 42, formats);
-  auto pre = exec.run_serial(exec.sampler().pick_batch(300, 0));
+  auto pre = exec.run(exec.sampler().pick_batch(300, 0));
   pipeline::BatchWorkload w =
       pipeline::workload_from(pre.batch, data.spec.feature_dim);
   for (auto strategy : {pipeline::PreprocStrategy::kParallelTasks,

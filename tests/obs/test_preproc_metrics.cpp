@@ -38,7 +38,7 @@ TEST(PreprocMetrics, ParallelRegistryMatchesResultFields) {
   ThreadPool pool(4);
   auto batch = env.exec.sampler().pick_batch(80, 0);
   const CounterDeltas before = CounterDeltas::snapshot();
-  PreprocResult r = env.exec.run_parallel(batch, pool, 5);
+  PreprocResult r = env.exec.run(batch, &pool, 5);
   const CounterDeltas d = CounterDeltas::snapshot().since(before);
   EXPECT_EQ(d.batches, 1u);
   EXPECT_EQ(d.acquisitions, r.hash_acquisitions);
@@ -50,7 +50,7 @@ TEST(PreprocMetrics, SerialRegistryMatchesResultFields) {
   Env env;
   auto batch = env.exec.sampler().pick_batch(60, 1);
   const CounterDeltas before = CounterDeltas::snapshot();
-  PreprocResult r = env.exec.run_serial(batch);
+  PreprocResult r = env.exec.run(batch);
   const CounterDeltas d = CounterDeltas::snapshot().since(before);
   EXPECT_EQ(d.batches, 1u);
   EXPECT_EQ(d.acquisitions, r.hash_acquisitions);
@@ -65,7 +65,7 @@ TEST(PreprocMetrics, CountersAccumulateAcrossBatches) {
   std::uint64_t want_acquisitions = 0;
   for (std::uint64_t b = 0; b < 3; ++b) {
     auto batch = env.exec.sampler().pick_batch(40, b);
-    want_acquisitions += env.exec.run_parallel(batch, pool, 4)
+    want_acquisitions += env.exec.run(batch, &pool, 4)
                              .hash_acquisitions;
   }
   const CounterDeltas d = CounterDeltas::snapshot().since(before);

@@ -16,13 +16,13 @@ struct Env {
 };
 
 TEST(BatchContext, ContextBackedRunMatchesByValueRun) {
-  // run_serial_into writing into the context's reusable PreprocResult must
-  // reproduce the by-value run_serial bit for bit, batch after batch.
+  // run_into writing into the context's reusable PreprocResult must
+  // reproduce the by-value run bit for bit, batch after batch.
   Env env;
   BatchContext ctx;
   for (std::uint64_t b = 0; b < 3; ++b) {
     auto batch = env.exec.sampler().pick_batch(64, b);
-    PreprocResult fresh = env.exec.run_serial(batch);
+    PreprocResult fresh = env.exec.run(batch);
 
     ctx.begin_batch();
     PreprocExecutor& cached =
@@ -30,8 +30,8 @@ TEST(BatchContext, ContextBackedRunMatchesByValueRun) {
                          env.data.spec.fanout, 2, 99, env.formats);
     ctx.batch_vids() = cached.sampler().pick_batch(64, b);
     EXPECT_EQ(ctx.batch_vids(), batch);
-    cached.run_serial_into(ctx.batch_vids(), ctx.table(), ctx.preproc(),
-                           ctx.scratch());
+    cached.run_into(ctx.batch_vids(), ctx.table(), ctx.preproc(),
+                    ctx.scratch());
 
     const PreprocResult& reused = ctx.preproc();
     EXPECT_EQ(fresh.batch.vid_order, reused.batch.vid_order);
@@ -106,8 +106,8 @@ TEST(BatchContext, SteadyStateReuseAfterWarmup) {
         ctx.executor_for(env.data.csr, env.data.embeddings,
                          env.data.spec.fanout, 2, 99, env.formats);
     ctx.batch_vids() = exec.sampler().pick_batch(64, b);
-    exec.run_serial_into(ctx.batch_vids(), ctx.table(), ctx.preproc(),
-                         ctx.scratch());
+    exec.run_into(ctx.batch_vids(), ctx.table(), ctx.preproc(),
+                  ctx.scratch());
     ctx.arena().alloc(ctx.preproc().batch.total_vertices(), 8);
   };
   for (std::uint64_t b = 0; b < 4; ++b) run(b);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 #include "datasets/catalog.hpp"
 #include "pipeline/workload.hpp"
 
@@ -18,7 +21,7 @@ struct Env {
 TEST(PreprocExecutor, SerialProducesConsistentLayers) {
   Env env;
   auto batch = env.exec.sampler().pick_batch(100, 0);
-  PreprocResult r = env.exec.run_serial(batch);
+  PreprocResult r = env.exec.run(batch);
   ASSERT_EQ(r.layers.size(), 2u);
   EXPECT_EQ(r.embeddings.rows(), r.batch.total_vertices());
   EXPECT_EQ(r.embeddings.cols(), env.data.spec.feature_dim);
@@ -30,22 +33,38 @@ TEST(PreprocExecutor, SerialProducesConsistentLayers) {
 
 TEST(PreprocExecutor, ParallelMatchesSerialExactly) {
   // The service-wide executor's determinism contract: A chunks + ordered H
-  // updates reproduce the serial result bit-for-bit.
+  // updates reproduce the serial result bit-for-bit, with the same hash
+  // traffic — for one chunk, for more chunks than any frontier has
+  // vertices, and for chunks run inline without a pool.
   Env env;
   ThreadPool pool(4);
+  const std::pair<ThreadPool*, std::size_t> configs[] = {
+      {&pool, 1}, {&pool, 5}, {&pool, 4096}, {nullptr, 5}};
   for (std::uint64_t b = 0; b < 3; ++b) {
     auto batch = env.exec.sampler().pick_batch(80, b);
-    PreprocResult serial = env.exec.run_serial(batch);
-    PreprocResult parallel = env.exec.run_parallel(batch, pool, 5);
-    EXPECT_EQ(serial.batch.vid_order, parallel.batch.vid_order);
-    EXPECT_EQ(serial.batch.set_sizes, parallel.batch.set_sizes);
-    ASSERT_EQ(serial.layers.size(), parallel.layers.size());
-    for (std::size_t l = 0; l < serial.layers.size(); ++l) {
-      EXPECT_EQ(serial.layers[l].csr, parallel.layers[l].csr) << "layer " << l;
-      EXPECT_EQ(serial.layers[l].csc, parallel.layers[l].csc);
-      EXPECT_EQ(serial.layers[l].coo, parallel.layers[l].coo);
+    PreprocResult serial = env.exec.run(batch);
+    ASSERT_LT(serial.batch.total_vertices(), 4096u);
+    for (const auto& [p, chunks] : configs) {
+      SCOPED_TRACE("batch " + std::to_string(b) + " chunks " +
+                   std::to_string(chunks) + (p ? " pooled" : " inline"));
+      PreprocResult parallel = env.exec.run(batch, p, chunks);
+      EXPECT_EQ(serial.batch.vid_order, parallel.batch.vid_order);
+      EXPECT_EQ(serial.batch.set_sizes, parallel.batch.set_sizes);
+      ASSERT_EQ(serial.batch.hops.size(), parallel.batch.hops.size());
+      for (std::size_t h = 0; h < serial.batch.hops.size(); ++h) {
+        EXPECT_EQ(serial.batch.hops[h].src, parallel.batch.hops[h].src);
+        EXPECT_EQ(serial.batch.hops[h].dst, parallel.batch.hops[h].dst);
+      }
+      ASSERT_EQ(serial.layers.size(), parallel.layers.size());
+      for (std::size_t l = 0; l < serial.layers.size(); ++l) {
+        EXPECT_EQ(serial.layers[l].csr, parallel.layers[l].csr)
+            << "layer " << l;
+        EXPECT_EQ(serial.layers[l].csc, parallel.layers[l].csc);
+        EXPECT_EQ(serial.layers[l].coo, parallel.layers[l].coo);
+      }
+      EXPECT_EQ(serial.embeddings, parallel.embeddings);
+      EXPECT_EQ(serial.hash_acquisitions, parallel.hash_acquisitions);
     }
-    EXPECT_EQ(serial.embeddings, parallel.embeddings);
   }
 }
 
@@ -53,8 +72,8 @@ TEST(PreprocExecutor, ChunkCountDoesNotChangeResult) {
   Env env;
   ThreadPool pool(3);
   auto batch = env.exec.sampler().pick_batch(60, 1);
-  PreprocResult a = env.exec.run_parallel(batch, pool, 2);
-  PreprocResult b = env.exec.run_parallel(batch, pool, 9);
+  PreprocResult a = env.exec.run(batch, &pool, 2);
+  PreprocResult b = env.exec.run(batch, &pool, 9);
   EXPECT_EQ(a.batch.vid_order, b.batch.vid_order);
   EXPECT_EQ(a.embeddings, b.embeddings);
 }
@@ -62,7 +81,7 @@ TEST(PreprocExecutor, ChunkCountDoesNotChangeResult) {
 TEST(PreprocExecutor, ReportsHashTraffic) {
   Env env;
   auto batch = env.exec.sampler().pick_batch(50, 2);
-  PreprocResult r = env.exec.run_serial(batch);
+  PreprocResult r = env.exec.run(batch);
   // At least one op per batch vertex, per sampled edge (insert), and two
   // lookups per reindexed edge.
   std::uint64_t reindexed = 0;
@@ -75,7 +94,7 @@ TEST(PreprocExecutor, ReportsHashTraffic) {
 TEST(Workload, DerivedCountsMatchBatch) {
   Env env;
   auto batch_vids = env.exec.sampler().pick_batch(70, 3);
-  PreprocResult r = env.exec.run_serial(batch_vids);
+  PreprocResult r = env.exec.run(batch_vids);
   BatchWorkload w = workload_from(r.batch, env.data.spec.feature_dim);
   EXPECT_EQ(w.num_layers, 2u);
   EXPECT_EQ(w.batch_size, 70u);

@@ -143,6 +143,25 @@ TEST(Plan, EndToEndOverlapHidesShorterPhase) {
   EXPECT_DOUBLE_EQ(end_to_end_us(sched, 300.0, true), 300.0);
 }
 
+TEST(Plan, CachedRowsReduceScheduledLookupAndTransfer) {
+  // Rows served from an embedding cache leave the scheduled K and T work.
+  BatchWorkload w;
+  w.num_layers = 1;
+  w.batch_size = 100;
+  w.hops.push_back(HopWork{100, 500, 500, 400});
+  w.layer_reindex_edges = {500};
+  w.total_vertices = 500;
+  w.feature_dim = 64;
+  const PlanOptions opt = options(PreprocStrategy::kServiceWide, true, true);
+  const auto without = plan_preprocessing(w, opt);
+  w.cached_rows = 400;
+  const auto with = plan_preprocessing(w, opt);
+  EXPECT_LT(with.type_busy_us[static_cast<int>(TaskType::kLookup)],
+            without.type_busy_us[static_cast<int>(TaskType::kLookup)]);
+  EXPECT_LT(with.type_busy_us[static_cast<int>(TaskType::kTransfer)],
+            without.type_busy_us[static_cast<int>(TaskType::kTransfer)]);
+}
+
 TEST(Plan, RejectsMalformedWorkload) {
   BatchWorkload w = light_workload();
   w.layer_reindex_edges.pop_back();

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <numeric>
+
 #include "datasets/catalog.hpp"
 #include "graph/convert.hpp"
 #include "kernels/common.hpp"
 #include "pipeline/executor.hpp"
-#include "sampling/embedding_cache.hpp"
 
 namespace gt::sampling {
 namespace {
@@ -49,36 +51,80 @@ TEST(CachePolicyNames, RoundTripAndReject) {
   EXPECT_THROW(parse_cache_policy(""), std::invalid_argument);
 }
 
-TEST(CacheHierarchy, StaticSelectionMatchesEmbeddingCache) {
-  Dataset data = generate("products", 9);
-  const std::size_t budget = 100 * data.spec.feature_dim * sizeof(float);
-  gpusim::Device dev;
-  EmbeddingCache legacy(dev, data.csr, data.embeddings, budget);
+// Static-tier hit rate of one sampled batch with 4% of the vertices pinned.
+double static_hit_rate(const std::string& dataset) {
+  Dataset data = generate(dataset, 9);
+  pipeline::PreprocExecutor exec(data.csr, data.embeddings, data.spec.fanout,
+                                 2, 42, ReindexFormats{.csr = true});
+  const auto pre = exec.run(exec.sampler().pick_batch(300, 0));
   CacheConfig cfg;
-  cfg.budget_bytes = budget;
+  cfg.budget_bytes = (data.csr.num_vertices / 25) * data.spec.feature_dim *
+                     sizeof(float);
   cfg.policy = CachePolicy::kStatic;
   CacheHierarchy hier(data.csr, data.embeddings, cfg);
-  ASSERT_EQ(hier.static_capacity_rows(), legacy.cached_vertices());
-  EXPECT_EQ(hier.dynamic_capacity_rows(), 0u);
-  for (Vid v = 0; v < data.csr.num_vertices; ++v)
-    EXPECT_EQ(hier.static_contains(v), legacy.contains(v)) << v;
+  return hier.lookup(pre.batch.vid_order, 1, false).hit_rate();
 }
 
-// Satellite of the per-batch-reconstruction fix: the legacy EmbeddingCache
-// pays a cudaMalloc-like alloc-overhead charge on *every* construction —
-// the cost the old per-batch path paid once per batch. The hierarchy's
-// bind_static re-binds the dataset-lifetime resident tier without that
-// charge, so a fresh per-batch device sees a clean profile.
+TEST(CacheHierarchy, StaticSelectionMatchesOutDegreeSort) {
+  Dataset data = generate("products", 9);
+  // Out-degree = occurrences as a sampled source in the dst-indexed CSR;
+  // the tier pins the highest first, ties by the smaller vid.
+  std::vector<std::uint32_t> out_degree(data.csr.num_vertices, 0);
+  for (Vid s : data.csr.col_idx) ++out_degree[s];
+  std::vector<Vid> by_degree(data.csr.num_vertices);
+  std::iota(by_degree.begin(), by_degree.end(), 0);
+  std::stable_sort(by_degree.begin(), by_degree.end(), [&](Vid a, Vid b) {
+    return out_degree[a] > out_degree[b];
+  });
+
+  const std::vector<Vid> probe{5, 17, 100, 42, 9999};
+  for (const std::size_t rows :
+       {std::size_t{100}, std::size_t{0}, std::size_t{data.csr.num_vertices}}) {
+    SCOPED_TRACE(rows);
+    CacheConfig cfg;
+    cfg.budget_bytes = rows * data.spec.feature_dim * sizeof(float);
+    cfg.policy = CachePolicy::kStatic;
+    CacheHierarchy hier(data.csr, data.embeddings, cfg);
+    ASSERT_EQ(hier.static_capacity_rows(), rows);
+    EXPECT_EQ(hier.dynamic_capacity_rows(), 0u);
+    std::vector<bool> pinned(data.csr.num_vertices, false);
+    for (std::size_t k = 0; k < rows; ++k) pinned[by_degree[k]] = true;
+    for (Vid v = 0; v < data.csr.num_vertices; ++v)
+      ASSERT_EQ(hier.static_contains(v), pinned[v]) << v;
+    // Every row lands on exactly one side: a zero budget gathers them all,
+    // a whole-graph budget pins them all.
+    const auto look = hier.lookup(probe, 1, false);
+    std::vector<std::uint32_t> rows_seen = look.static_rows;
+    rows_seen.insert(rows_seen.end(), look.gather_rows.begin(),
+                     look.gather_rows.end());
+    std::sort(rows_seen.begin(), rows_seen.end());
+    EXPECT_EQ(rows_seen, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
+    if (rows == 0) {
+      EXPECT_EQ(look.gather_vids, probe);
+      EXPECT_EQ(look.misses, probe.size());
+      EXPECT_EQ(look.hit_rate(), 0.0);
+    }
+    if (rows == data.csr.num_vertices) {
+      EXPECT_EQ(look.hit_rate(), 1.0);
+    }
+    EXPECT_EQ(hier.lookup({}, 1, false).hit_rate(), 0.0);
+  }
+
+  // Sampled sources follow out-degree, so the pinned 4% catches a large
+  // share of a skewed graph's rows and a smaller share of a near-uniform
+  // one's (the PaGraph locality premise and its limit).
+  const double skewed = static_hit_rate("products");
+  EXPECT_GT(skewed, 0.2);
+  EXPECT_LT(static_hit_rate("roadnet-ca"), skewed);
+}
+
+// bind_static re-binds the dataset-lifetime resident tier to a fresh
+// per-batch device without an alloc-overhead charge: the device starts
+// with a clean profile.
 TEST(CacheHierarchy, BindStaticSkipsPerBatchAllocCharge) {
   Dataset data = generate("products", 9);
-  const std::size_t budget = 64 * data.spec.feature_dim * sizeof(float);
-
-  gpusim::Device legacy_dev;
-  EmbeddingCache legacy(legacy_dev, data.csr, data.embeddings, budget);
-  EXPECT_GT(legacy_dev.profile_latency_us(), 0.0);  // the old per-batch cost
-
   CacheConfig cfg;
-  cfg.budget_bytes = budget;
+  cfg.budget_bytes = 64 * data.spec.feature_dim * sizeof(float);
   cfg.policy = CachePolicy::kStatic;
   CacheHierarchy hier(data.csr, data.embeddings, cfg);
   gpusim::Device batch_dev;
@@ -159,6 +205,15 @@ TEST(CacheHierarchy, DuplicateVidsClassifyOnceAgainstPreBatchState) {
   auto look2 = hier.lookup(batch, 2, false);
   EXPECT_EQ(look2.dynamic_hits, 4u);
   EXPECT_EQ(look2.misses, 0u);
+
+  // The degree-pinned tier keeps duplicates as distinct rows too: every
+  // copy of a pinned vid is its own static hit.
+  const CacheHierarchy pinned = env.make(CachePolicy::kStatic, 2);  // 0, 1
+  const auto look3 = pinned.lookup(std::vector<Vid>{0, 0, 5, 5}, 1, false);
+  EXPECT_EQ(look3.static_rows, (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(look3.static_slots, (std::vector<std::uint32_t>{0, 0}));
+  EXPECT_EQ(look3.gather_rows, (std::vector<std::uint32_t>{2, 3}));
+  EXPECT_EQ(look3.gather_vids, (std::vector<Vid>{5, 5}));
 }
 
 TEST(CacheHierarchy, LookupIsPureUntilCommit) {
@@ -275,26 +330,30 @@ TEST(CacheHierarchy, AssembleMatchesFlatGather) {
   pipeline::PreprocExecutor exec(data.csr, data.embeddings, data.spec.fanout,
                                  2, 42, formats);
   auto batch = exec.sampler().pick_batch(100, 0);
-  auto pre = exec.run_serial(batch);
+  auto pre = exec.run(batch);
 
-  CacheConfig cfg;
-  cfg.budget_bytes = 1 << 20;
-  cfg.policy = CachePolicy::kTiered;
-  CacheHierarchy hier(data.csr, data.embeddings, cfg);
-  auto look = hier.lookup(pre.batch.vid_order, 1, false);
-  ASSERT_GT(look.static_rows.size(), 0u);
-  ASSERT_GT(look.gather_rows.size(), 0u);
+  for (const CachePolicy policy :
+       {CachePolicy::kTiered, CachePolicy::kStatic}) {
+    SCOPED_TRACE(to_string(policy));
+    CacheConfig cfg;
+    cfg.budget_bytes = 1 << 20;
+    cfg.policy = policy;
+    CacheHierarchy hier(data.csr, data.embeddings, cfg);
+    auto look = hier.lookup(pre.batch.vid_order, 1, false);
+    ASSERT_GT(look.static_rows.size(), 0u);
+    ASSERT_GT(look.gather_rows.size(), 0u);
 
-  gpusim::Device dev;
-  Matrix gathered(look.gather_vids.size(), data.spec.feature_dim);
-  Transfer staging(dev, gpusim::PcieModel(cfg.pcie), /*pinned=*/true);
-  hier.ring().gather_through(data.embeddings, look.gather_vids, gathered,
-                             staging, 6.0e-3);
-  auto gather_buf = kernels::upload_matrix(dev, gathered, "gathered");
-  auto static_buf = hier.bind_static(dev);
-  auto assembled = hier.assemble(dev, static_buf, look, gather_buf,
-                                 pre.batch.vid_order.size());
-  EXPECT_EQ(kernels::download_matrix(dev, assembled), pre.embeddings);
+    gpusim::Device dev;
+    Matrix gathered(look.gather_vids.size(), data.spec.feature_dim);
+    Transfer staging(dev, gpusim::PcieModel(cfg.pcie), /*pinned=*/true);
+    hier.ring().gather_through(data.embeddings, look.gather_vids, gathered,
+                               staging, 6.0e-3);
+    auto gather_buf = kernels::upload_matrix(dev, gathered, "gathered");
+    auto static_buf = hier.bind_static(dev);
+    auto assembled = hier.assemble(dev, static_buf, look, gather_buf,
+                                   pre.batch.vid_order.size());
+    EXPECT_EQ(kernels::download_matrix(dev, assembled), pre.embeddings);
+  }
 }
 
 TEST(PinnedRingBuffer, SingleSlotSerializesFully) {

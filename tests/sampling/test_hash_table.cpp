@@ -15,7 +15,8 @@ TEST(VidHashTable, DenseInsertionOrderIds) {
   EXPECT_EQ(t.insert_or_get(100), 0u);  // existing
   EXPECT_EQ(t.insert_or_get(42), 2u);
   EXPECT_EQ(t.size(), 3u);
-  auto order = t.insertion_order();
+  std::vector<Vid> order;
+  t.insertion_order_into(order);
   ASSERT_EQ(order.size(), 3u);
   EXPECT_EQ(order[0], 100u);
   EXPECT_EQ(order[1], 5u);
@@ -62,8 +63,9 @@ TEST(VidHashTable, ConcurrentInsertsAreConsistent) {
     ids.insert(id);
   }
   EXPECT_EQ(ids.size(), 500u);
-  // insertion_order is the inverse mapping.
-  auto order = t.insertion_order();
+  // The insertion order is the inverse mapping.
+  std::vector<Vid> order;
+  t.insertion_order_into(order);
   for (Vid v = 0; v < 500; ++v) EXPECT_EQ(t.lookup(order[v]), v);
 }
 
