@@ -51,65 +51,146 @@ TEST(CachePolicyNames, RoundTripAndReject) {
   EXPECT_THROW(parse_cache_policy(""), std::invalid_argument);
 }
 
+// The degree-pinned embedding cache: the kStatic policy with `rows` rows of
+// budget. The EmbeddingCache suite below checks it as PaGraph's static
+// cache (out-degree selection, row partition, hit rate, assembly).
+CacheHierarchy static_tier(const Dataset& data, std::size_t rows) {
+  CacheConfig cfg;
+  cfg.budget_bytes = rows * data.spec.feature_dim * sizeof(float);
+  cfg.policy = CachePolicy::kStatic;
+  return CacheHierarchy(data.csr, data.embeddings, cfg);
+}
+
+// Out-degree = occurrences as a sampled source in the dst-indexed CSR.
+std::vector<std::uint32_t> out_degrees(const Csr& csr) {
+  std::vector<std::uint32_t> out_degree(csr.num_vertices, 0);
+  for (Vid s : csr.col_idx) ++out_degree[s];
+  return out_degree;
+}
+
 // Static-tier hit rate of one sampled batch with 4% of the vertices pinned.
 double static_hit_rate(const std::string& dataset) {
   Dataset data = generate(dataset, 9);
   pipeline::PreprocExecutor exec(data.csr, data.embeddings, data.spec.fanout,
                                  2, 42, ReindexFormats{.csr = true});
   const auto pre = exec.run(exec.sampler().pick_batch(300, 0));
-  CacheConfig cfg;
-  cfg.budget_bytes = (data.csr.num_vertices / 25) * data.spec.feature_dim *
-                     sizeof(float);
-  cfg.policy = CachePolicy::kStatic;
-  CacheHierarchy hier(data.csr, data.embeddings, cfg);
+  const CacheHierarchy hier = static_tier(data, data.csr.num_vertices / 25);
   return hier.lookup(pre.batch.vid_order, 1, false).hit_rate();
 }
 
-TEST(CacheHierarchy, StaticSelectionMatchesOutDegreeSort) {
+// Rows of `look` on either side, sorted: each row of the batch exactly once.
+std::vector<std::uint32_t> rows_seen(const CacheHierarchy::Lookup& look) {
+  std::vector<std::uint32_t> rows = look.static_rows;
+  rows.insert(rows.end(), look.gather_rows.begin(), look.gather_rows.end());
+  std::sort(rows.begin(), rows.end());
+  return rows;
+}
+
+TEST(CacheHierarchy, StaticSelectionMatchesEmbeddingCache) {
   Dataset data = generate("products", 9);
-  // Out-degree = occurrences as a sampled source in the dst-indexed CSR;
-  // the tier pins the highest first, ties by the smaller vid.
-  std::vector<std::uint32_t> out_degree(data.csr.num_vertices, 0);
-  for (Vid s : data.csr.col_idx) ++out_degree[s];
+  // The tier pins the highest out-degree first, ties by the smaller vid.
+  const auto out_degree = out_degrees(data.csr);
   std::vector<Vid> by_degree(data.csr.num_vertices);
   std::iota(by_degree.begin(), by_degree.end(), 0);
   std::stable_sort(by_degree.begin(), by_degree.end(), [&](Vid a, Vid b) {
     return out_degree[a] > out_degree[b];
   });
 
-  const std::vector<Vid> probe{5, 17, 100, 42, 9999};
   for (const std::size_t rows :
        {std::size_t{100}, std::size_t{0}, std::size_t{data.csr.num_vertices}}) {
     SCOPED_TRACE(rows);
-    CacheConfig cfg;
-    cfg.budget_bytes = rows * data.spec.feature_dim * sizeof(float);
-    cfg.policy = CachePolicy::kStatic;
-    CacheHierarchy hier(data.csr, data.embeddings, cfg);
+    const CacheHierarchy hier = static_tier(data, rows);
     ASSERT_EQ(hier.static_capacity_rows(), rows);
     EXPECT_EQ(hier.dynamic_capacity_rows(), 0u);
     std::vector<bool> pinned(data.csr.num_vertices, false);
     for (std::size_t k = 0; k < rows; ++k) pinned[by_degree[k]] = true;
     for (Vid v = 0; v < data.csr.num_vertices; ++v)
       ASSERT_EQ(hier.static_contains(v), pinned[v]) << v;
-    // Every row lands on exactly one side: a zero budget gathers them all,
-    // a whole-graph budget pins them all.
-    const auto look = hier.lookup(probe, 1, false);
-    std::vector<std::uint32_t> rows_seen = look.static_rows;
-    rows_seen.insert(rows_seen.end(), look.gather_rows.begin(),
-                     look.gather_rows.end());
-    std::sort(rows_seen.begin(), rows_seen.end());
-    EXPECT_EQ(rows_seen, (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
-    if (rows == 0) {
-      EXPECT_EQ(look.gather_vids, probe);
-      EXPECT_EQ(look.misses, probe.size());
-      EXPECT_EQ(look.hit_rate(), 0.0);
-    }
-    if (rows == data.csr.num_vertices) {
-      EXPECT_EQ(look.hit_rate(), 1.0);
-    }
-    EXPECT_EQ(hier.lookup({}, 1, false).hit_rate(), 0.0);
   }
+}
 
+TEST(EmbeddingCache, CachesHighestOutDegreeVertices) {
+  Dataset data = generate("products", 9);
+  const CacheHierarchy hier = static_tier(data, 100);
+  EXPECT_EQ(hier.static_capacity_rows(), 100u);
+  // Every pinned vertex must have out-degree >= any unpinned one we probe.
+  const auto out_degree = out_degrees(data.csr);
+  std::uint32_t min_cached = ~0u;
+  for (Vid v = 0; v < data.csr.num_vertices; ++v) {
+    if (hier.static_contains(v))
+      min_cached = std::min(min_cached, out_degree[v]);
+  }
+  for (Vid v = 0; v < 1000; ++v) {
+    if (!hier.static_contains(v)) {
+      EXPECT_LE(out_degree[v], min_cached);
+    }
+  }
+}
+
+TEST(EmbeddingCache, ZeroBudgetCachesNothing) {
+  Dataset data = generate("products", 9);
+  const CacheHierarchy hier = static_tier(data, 0);
+  EXPECT_EQ(hier.static_capacity_rows(), 0u);
+  EXPECT_FALSE(hier.static_contains(0));
+}
+
+TEST(EmbeddingCache, PartitionCoversEveryRowExactlyOnce) {
+  Dataset data = generate("products", 9);
+  const CacheHierarchy hier = static_tier(data, 100);
+  const std::vector<Vid> vids{5, 17, 100, 42, 9999};
+  const auto look = hier.lookup(vids, 1, false);
+  EXPECT_EQ(rows_seen(look), (std::vector<std::uint32_t>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(look.gather_vids.size(), look.gather_rows.size());
+}
+
+TEST(EmbeddingCache, PartitionEmptyVidOrder) {
+  Dataset data = generate("products", 9);
+  const CacheHierarchy hier = static_tier(data, 100);
+  const auto look = hier.lookup({}, 1, false);
+  EXPECT_TRUE(look.static_rows.empty());
+  EXPECT_TRUE(look.gather_rows.empty());
+  EXPECT_TRUE(look.gather_vids.empty());
+  EXPECT_EQ(look.hit_rate(), 0.0);
+}
+
+TEST(EmbeddingCache, PartitionAllHit) {
+  Dataset data = generate("products", 9);
+  // Budget covering every vertex: nothing can miss.
+  const CacheHierarchy hier = static_tier(data, data.csr.num_vertices);
+  const std::vector<Vid> vids{0, 1, 2, 3, 4};
+  const auto look = hier.lookup(vids, 1, false);
+  EXPECT_EQ(look.static_rows.size(), vids.size());
+  EXPECT_TRUE(look.gather_rows.empty());
+  EXPECT_EQ(look.hit_rate(), 1.0);
+}
+
+TEST(EmbeddingCache, PartitionAllMissUnderZeroBudget) {
+  Dataset data = generate("products", 9);
+  const CacheHierarchy hier = static_tier(data, 0);
+  const std::vector<Vid> vids{7, 11, 13};
+  const auto look = hier.lookup(vids, 1, false);
+  EXPECT_TRUE(look.static_rows.empty());
+  EXPECT_EQ(look.gather_rows.size(), vids.size());
+  EXPECT_EQ(look.gather_vids, vids);
+  EXPECT_EQ(look.misses, vids.size());
+  EXPECT_EQ(look.hit_rate(), 0.0);
+}
+
+TEST(EmbeddingCache, PartitionKeepsDuplicateVidsAsDistinctRows) {
+  // vid_order rows map 1:1 to assembled table rows, so a vid appearing
+  // twice must occupy two rows with the same classification: every copy of
+  // a pinned vid is its own static hit.
+  TinyEnv env;
+  const CacheHierarchy pinned = env.make(CachePolicy::kStatic, 2);  // 0, 1
+  const auto look = pinned.lookup(std::vector<Vid>{0, 0, 5, 5}, 1, false);
+  EXPECT_EQ(rows_seen(look), (std::vector<std::uint32_t>{0, 1, 2, 3}));
+  EXPECT_EQ(look.static_rows, (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(look.static_slots, (std::vector<std::uint32_t>{0, 0}));
+  EXPECT_EQ(look.gather_rows, (std::vector<std::uint32_t>{2, 3}));
+  EXPECT_EQ(look.gather_vids, (std::vector<Vid>{5, 5}));
+}
+
+TEST(EmbeddingCache, SkewedSamplingHitsOften) {
   // Sampled sources follow out-degree, so the pinned 4% catches a large
   // share of a skewed graph's rows and a smaller share of a near-uniform
   // one's (the PaGraph locality premise and its limit).
@@ -205,15 +286,6 @@ TEST(CacheHierarchy, DuplicateVidsClassifyOnceAgainstPreBatchState) {
   auto look2 = hier.lookup(batch, 2, false);
   EXPECT_EQ(look2.dynamic_hits, 4u);
   EXPECT_EQ(look2.misses, 0u);
-
-  // The degree-pinned tier keeps duplicates as distinct rows too: every
-  // copy of a pinned vid is its own static hit.
-  const CacheHierarchy pinned = env.make(CachePolicy::kStatic, 2);  // 0, 1
-  const auto look3 = pinned.lookup(std::vector<Vid>{0, 0, 5, 5}, 1, false);
-  EXPECT_EQ(look3.static_rows, (std::vector<std::uint32_t>{0, 1}));
-  EXPECT_EQ(look3.static_slots, (std::vector<std::uint32_t>{0, 0}));
-  EXPECT_EQ(look3.gather_rows, (std::vector<std::uint32_t>{2, 3}));
-  EXPECT_EQ(look3.gather_vids, (std::vector<Vid>{5, 5}));
 }
 
 TEST(CacheHierarchy, LookupIsPureUntilCommit) {
@@ -324,7 +396,9 @@ TEST(CacheHierarchy, ReplaySequencesIdentically) {
   }
 }
 
-TEST(CacheHierarchy, AssembleMatchesFlatGather) {
+// Assembling resident rows with the freshly gathered ones must reproduce
+// the straight full gather of the batch.
+void expect_assemble_matches_flat_gather(CachePolicy policy) {
   Dataset data = generate("products", 9);
   ReindexFormats formats{.csr = true};
   pipeline::PreprocExecutor exec(data.csr, data.embeddings, data.spec.fanout,
@@ -332,28 +406,32 @@ TEST(CacheHierarchy, AssembleMatchesFlatGather) {
   auto batch = exec.sampler().pick_batch(100, 0);
   auto pre = exec.run(batch);
 
-  for (const CachePolicy policy :
-       {CachePolicy::kTiered, CachePolicy::kStatic}) {
-    SCOPED_TRACE(to_string(policy));
-    CacheConfig cfg;
-    cfg.budget_bytes = 1 << 20;
-    cfg.policy = policy;
-    CacheHierarchy hier(data.csr, data.embeddings, cfg);
-    auto look = hier.lookup(pre.batch.vid_order, 1, false);
-    ASSERT_GT(look.static_rows.size(), 0u);
-    ASSERT_GT(look.gather_rows.size(), 0u);
+  CacheConfig cfg;
+  cfg.budget_bytes = 1 << 20;
+  cfg.policy = policy;
+  CacheHierarchy hier(data.csr, data.embeddings, cfg);
+  auto look = hier.lookup(pre.batch.vid_order, 1, false);
+  ASSERT_GT(look.static_rows.size(), 0u);
+  ASSERT_GT(look.gather_rows.size(), 0u);
 
-    gpusim::Device dev;
-    Matrix gathered(look.gather_vids.size(), data.spec.feature_dim);
-    Transfer staging(dev, gpusim::PcieModel(cfg.pcie), /*pinned=*/true);
-    hier.ring().gather_through(data.embeddings, look.gather_vids, gathered,
-                               staging, 6.0e-3);
-    auto gather_buf = kernels::upload_matrix(dev, gathered, "gathered");
-    auto static_buf = hier.bind_static(dev);
-    auto assembled = hier.assemble(dev, static_buf, look, gather_buf,
-                                   pre.batch.vid_order.size());
-    EXPECT_EQ(kernels::download_matrix(dev, assembled), pre.embeddings);
-  }
+  gpusim::Device dev;
+  Matrix gathered(look.gather_vids.size(), data.spec.feature_dim);
+  Transfer staging(dev, gpusim::PcieModel(cfg.pcie), /*pinned=*/true);
+  hier.ring().gather_through(data.embeddings, look.gather_vids, gathered,
+                             staging, 6.0e-3);
+  auto gather_buf = kernels::upload_matrix(dev, gathered, "gathered");
+  auto static_buf = hier.bind_static(dev);
+  auto assembled = hier.assemble(dev, static_buf, look, gather_buf,
+                                 pre.batch.vid_order.size());
+  EXPECT_EQ(kernels::download_matrix(dev, assembled), pre.embeddings);
+}
+
+TEST(CacheHierarchy, AssembleMatchesFlatGather) {
+  expect_assemble_matches_flat_gather(CachePolicy::kTiered);
+}
+
+TEST(EmbeddingCache, AssembleReproducesFullGather) {
+  expect_assemble_matches_flat_gather(CachePolicy::kStatic);
 }
 
 TEST(PinnedRingBuffer, SingleSlotSerializesFully) {
