@@ -146,14 +146,14 @@ void preprocess_into(const Dataset& data, const BatchSpec& spec,
                      std::uint32_t num_layers,
                      const sampling::ReindexFormats& formats,
                      const pipeline::PlanOptions& plan,
-                     pipeline::BatchContext& ctx) {
+                     pipeline::BatchContext& ctx, bool gather) {
   pipeline::PreprocExecutor& exec = ctx.executor_for(
       data.csr, data.embeddings, data.spec.fanout, num_layers, spec.seed,
       formats);
   ctx.batch_vids() = exec.sampler().pick_batch(spec.batch_size,
                                                spec.batch_index);
-  exec.run_into(ctx.batch_vids(), ctx.table(), ctx.preproc(),
-                ctx.scratch());
+  exec.run_into(ctx.batch_vids(), ctx.table(), ctx.preproc(), ctx.scratch(),
+                /*pool=*/nullptr, /*chunks=*/1, gather);
   ctx.workload() = pipeline::workload_from(ctx.preproc().batch,
                                            data.spec.feature_dim);
   ctx.schedule() = pipeline::plan_preprocessing(ctx.workload(), plan);
@@ -168,18 +168,34 @@ void record_oom(RunReport& report, const gpusim::GpuOomError& e,
   obs::metrics().counter("frameworks.oom_batches").add(1);
 }
 
+DeviceSession::~DeviceSession() {
+  if (lender_ == nullptr) return;
+  const std::size_t rows = dev.rows(input), cols = dev.cols(input);
+  lender_->adopt_storage(rows, cols, dev.release_f32(input));
+}
+
+void DeviceSession::lend_input(Matrix& table) {
+  const std::size_t rows = table.rows(), cols = table.cols();
+  std::vector<float> data = table.release_storage();
+  try {
+    input = dev.adopt_f32(rows, cols, std::move(data), "input-table");
+  } catch (...) {
+    table.adopt_storage(rows, cols, std::move(data));  // untouched by adopt
+    throw;
+  }
+  lender_ = &table;
+  dev.charge_alloc_overhead("upload_matrix", 1);  // as upload_matrix prices it
+}
+
 std::unique_ptr<DeviceSession> open_session(
-    const pipeline::PreprocResult& pre, const models::ModelParams& params,
-    const sampling::ReindexFormats& formats, bool upload_input) {
+    pipeline::PreprocResult& pre, const models::ModelParams& params,
+    const sampling::ReindexFormats& formats, bool lend_input) {
   fault::check(fault::Site::kTransfer);
   GT_STAGE(upload_span, kTransfer, "T.upload", "transfer");
   auto session = std::make_unique<DeviceSession>(eval_device_config());
   gpusim::Device& dev = session->dev;
 
-  if (upload_input) {
-    session->input =
-        kernels::upload_matrix(dev, pre.embeddings, "input-table");
-  }
+  if (lend_input) session->lend_input(pre.embeddings);
 
   for (const auto& layer : pre.layers) {
     if (formats.csr)

@@ -23,12 +23,13 @@ gpusim::DeviceConfig eval_device_config();
 /// Phase-1 shared helper: pick the batch deterministically, run the
 /// context-backed serial preprocessing, derive the workload, and price the
 /// schedule — all into `ctx`'s reusable storage (identical output to the
-/// old by-value preprocess()).
+/// old by-value preprocess()). `gather == false` skips K: the caller's
+/// embedding cache gathers the rows at execute time.
 void preprocess_into(const Dataset& data, const BatchSpec& spec,
                      std::uint32_t num_layers,
                      const sampling::ReindexFormats& formats,
                      const pipeline::PlanOptions& plan,
-                     pipeline::BatchContext& ctx);
+                     pipeline::BatchContext& ctx, bool gather = true);
 
 /// Uploaded device state for one batch.
 struct DeviceSession {
@@ -41,16 +42,31 @@ struct DeviceSession {
   std::vector<gpusim::BufferId> b;
 
   explicit DeviceSession(gpusim::DeviceConfig cfg) : dev(std::move(cfg)) {}
+  DeviceSession(const DeviceSession&) = delete;
+  DeviceSession& operator=(const DeviceSession&) = delete;
+  /// Hands a lent input table back to its owner (DESIGN.md §9 rule 4).
+  ~DeviceSession();
+
+  /// Make `table`'s storage the device's `input` buffer for the session's
+  /// lifetime: no zero-fill, no copy. Throws what adopt_f32 throws, with
+  /// `table` left as it was. `table` must outlive the session and nothing
+  /// may read it until the session is destroyed.
+  void lend_input(Matrix& table);
+
+ private:
+  Matrix* lender_ = nullptr;
 };
 
-/// Upload embeddings, structures, and parameters. Throws GpuOomError if the
-/// batch does not fit. The device profile is cleared afterwards so the
-/// kernel profile covers FWP/BWP only (Nsight-style measurement, §VI).
-/// `upload_input == false` skips uploading the layer-0 feature table
-/// (the caller assembles it, e.g. from an embedding cache).
+/// Move the layer-0 feature table, structures, and parameters onto the
+/// device. Throws GpuOomError if the batch does not fit. The device profile
+/// is cleared afterwards so the kernel profile covers FWP/BWP only
+/// (Nsight-style measurement, §VI). The table `pre.embeddings` is lent, not
+/// copied: it is empty until the session is destroyed. `lend_input ==
+/// false` leaves it alone (the caller assembles the input, e.g. from an
+/// embedding cache).
 std::unique_ptr<DeviceSession> open_session(
-    const pipeline::PreprocResult& pre, const models::ModelParams& params,
-    const sampling::ReindexFormats& formats, bool upload_input = true);
+    pipeline::PreprocResult& pre, const models::ModelParams& params,
+    const sampling::ReindexFormats& formats, bool lend_input = true);
 
 /// Buffers a batch's per-layer SGD updates so nothing touches the model
 /// parameters until the batch reaches a reported outcome (success or OOM,

@@ -45,8 +45,11 @@ void GraphTensorFramework::prepare_batch(const Dataset& data,
                                          const models::GnnModelConfig& model,
                                          const BatchSpec& spec,
                                          pipeline::BatchContext& ctx) {
+  // With the embedding cache on, execute gathers the layer-0 rows through
+  // the pinned ring, so prepare skips K.
   detail::preprocess_into(data, spec, model.num_layers, kGtFormats,
-                          plan_options(), ctx);
+                          plan_options(), ctx,
+                          /*gather=*/cache_cfg_.budget_bytes == 0);
   // Sampler lookahead: the batch's vid_order is final here, so its rows
   // are warmable while the previous batch executes. The hint is a pure
   // function of the batch (not of worker overlap), keeping prefetch
@@ -84,7 +87,9 @@ RunReport GraphTensorFramework::execute_prepared(
   const pipeline::PlanOptions plan = plan_options();
 
   pipeline::PreprocResult& pre = ctx.preproc();
-  report.input_table_bytes = pre.embeddings.bytes();
+  // From the shape: a cached run's prepare leaves pre.embeddings empty.
+  report.input_table_bytes =
+      pre.batch.vid_order.size() * data.embeddings.dim() * sizeof(float);
   const bool use_cache = cache_cfg_.budget_bytes > 0;
   // A cache-disabled run must not report a stale rate from an earlier
   // cache-enabled run on the same framework instance.
@@ -202,7 +207,7 @@ RunReport GraphTensorFramework::execute_prepared(
 
   try {
     auto session = detail::open_session(pre, params, kGtFormats,
-                                        /*upload_input=*/!use_cache);
+                                        /*lend_input=*/!use_cache);
     gpusim::Device& dev = session->dev;
 
     if (use_cache) {
@@ -226,10 +231,13 @@ RunReport GraphTensorFramework::execute_prepared(
                                               data.spec.feature_dim);
       sampling::Transfer staging(dev, gpusim::PcieModel(plan.pcie),
                                  /*pinned=*/true);
-      ring_ov = hier.ring().gather_through(data.embeddings,
-                                           cache_look.gather_vids, gathered,
-                                           staging,
-                                           plan.cost.us_per_lookup_byte);
+      {
+        GT_STAGE(k_span, kLookup, "K.lookup", "lookup");
+        ring_ov = hier.ring().gather_through(data.embeddings,
+                                             cache_look.gather_vids, gathered,
+                                             staging,
+                                             plan.cost.us_per_lookup_byte);
+      }
       gpusim::BufferId gather_buf = gpusim::kInvalidBuffer;
       if (!cache_look.gather_vids.empty())
         gather_buf = kernels::upload_matrix(dev, gathered, "cache.gathered");

@@ -4,6 +4,7 @@
 #include <array>
 #include <cassert>
 #include <string>
+#include <utility>
 
 #include "fault/fault.hpp"
 #include "obs/live/event_log.hpp"
@@ -130,7 +131,10 @@ Device::Device(DeviceConfig config) : config_(config) {
     sms_.emplace_back(config_.cache_bytes_per_sm);
 }
 
-void Device::track_alloc(std::size_t bytes) {
+void Device::admit_alloc(std::size_t bytes) {
+  if (in_kernel_)
+    throw std::logic_error("device allocation inside a kernel is forbidden");
+  maybe_inject_alloc_fault(bytes, config_.memory_capacity_bytes, used_bytes_);
   if (used_bytes_ + bytes > config_.memory_capacity_bytes) {
     obs::metrics().counter("gpusim.oom_aborts").add(1);
     emit_oom_event(bytes, config_.memory_capacity_bytes - used_bytes_);
@@ -141,37 +145,45 @@ void Device::track_alloc(std::size_t bytes) {
   ++alloc_count_;
 }
 
-BufferId Device::alloc_f32(std::size_t rows, std::size_t cols,
-                           std::string name) {
-  if (in_kernel_)
-    throw std::logic_error("device allocation inside a kernel is forbidden");
-  maybe_inject_alloc_fault(rows * cols * sizeof(float),
-                           config_.memory_capacity_bytes, used_bytes_);
-  track_alloc(rows * cols * sizeof(float));
-  Buffer b;
+BufferId Device::add_buffer(std::string name, std::size_t rows,
+                            std::size_t cols, std::vector<float> f32,
+                            std::vector<std::uint32_t> u32) {
+  Buffer& b = buffers_.emplace_back();
   b.name = std::move(name);
   b.rows = rows;
   b.cols = cols;
-  b.f32.assign(rows * cols, 0.0f);
+  b.f32 = std::move(f32);
+  b.u32 = std::move(u32);
   b.live = true;
-  buffers_.push_back(std::move(b));
   return static_cast<BufferId>(buffers_.size() - 1);
 }
 
+BufferId Device::alloc_f32(std::size_t rows, std::size_t cols,
+                           std::string name) {
+  admit_alloc(rows * cols * sizeof(float));
+  return add_buffer(std::move(name), rows, cols,
+                    std::vector<float>(rows * cols, 0.0f), {});
+}
+
+BufferId Device::adopt_f32(std::size_t rows, std::size_t cols,
+                           std::vector<float>&& data, std::string name) {
+  if (data.size() != rows * cols)
+    throw std::invalid_argument("adopt_f32: data size != rows * cols");
+  admit_alloc(rows * cols * sizeof(float));
+  return add_buffer(std::move(name), rows, cols, std::move(data), {});
+}
+
 BufferId Device::alloc_u32(std::size_t count, std::string name) {
-  if (in_kernel_)
-    throw std::logic_error("device allocation inside a kernel is forbidden");
-  maybe_inject_alloc_fault(count * sizeof(std::uint32_t),
-                           config_.memory_capacity_bytes, used_bytes_);
-  track_alloc(count * sizeof(std::uint32_t));
-  Buffer b;
-  b.name = std::move(name);
-  b.rows = count;
-  b.cols = 1;
-  b.u32.assign(count, 0);
-  b.live = true;
-  buffers_.push_back(std::move(b));
-  return static_cast<BufferId>(buffers_.size() - 1);
+  admit_alloc(count * sizeof(std::uint32_t));
+  return add_buffer(std::move(name), count, 1, {},
+                    std::vector<std::uint32_t>(count, 0));
+}
+
+std::vector<float> Device::release_f32(BufferId id) {
+  std::vector<float> data = std::exchange(live_buffer(id).f32, {});
+  used_bytes_ -= data.size() * sizeof(float);
+  free(id);  // releases what is left of the buffer
+  return data;
 }
 
 void Device::free(BufferId id) {

@@ -114,6 +114,13 @@ class Device {
   BufferId alloc_f32(std::size_t rows, std::size_t cols, std::string name);
   /// Allocate an index buffer of `count` u32 entries.
   BufferId alloc_u32(std::size_t count, std::string name);
+  /// alloc_f32 that takes `data` (rows * cols floats) as the buffer instead
+  /// of zero-filling a new one. Same fault check, accounting and OOM; on a
+  /// throw `data` is left untouched.
+  BufferId adopt_f32(std::size_t rows, std::size_t cols,
+                     std::vector<float>&& data, std::string name);
+  /// free() that hands the buffer's float storage back to the caller.
+  std::vector<float> release_f32(BufferId id);
   void free(BufferId id);
 
   std::span<float> f32(BufferId id);
@@ -200,7 +207,11 @@ class Device {
 
   Buffer& live_buffer(BufferId id);
   const Buffer& live_buffer(BufferId id) const;
-  void track_alloc(std::size_t bytes);
+  /// Shared allocation gate: in-kernel check, gpusim.alloc fault, OOM,
+  /// then used/peak/count accounting.
+  void admit_alloc(std::size_t bytes);
+  BufferId add_buffer(std::string name, std::size_t rows, std::size_t cols,
+                      std::vector<float> f32, std::vector<std::uint32_t> u32);
 
   DeviceConfig config_;
   std::vector<Buffer> buffers_;

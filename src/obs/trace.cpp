@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <sstream>
 
 namespace gt::obs {
 
@@ -212,13 +213,13 @@ void Span::arg(const char* key, std::int64_t v) {
 
 void Span::arg(const char* key, double v) {
   if (tracer_ == nullptr) return;
-  char num[48];
-  std::snprintf(num, sizeof num, "%.6g", v);
+  std::ostringstream num;
+  write_json_number(num, v);
   if (!args_.empty()) args_ += ',';
   args_ += '"';
   json_escape(key, args_);
   args_ += "\":";
-  args_ += num;
+  args_ += num.str();
 }
 
 void Span::arg(const char* key, std::string_view v) {

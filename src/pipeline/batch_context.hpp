@@ -15,6 +15,8 @@
 //  * Distinct contexts are fully independent — prepare_batch may run
 //    concurrently on different contexts. A single context must never be
 //    touched by two threads at once.
+//  * preproc().embeddings is lent to the batch's device session while it
+//    is open (frameworks::detail::DeviceSession) and is empty meanwhile.
 #pragma once
 
 #include <cstdint>

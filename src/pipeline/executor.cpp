@@ -52,7 +52,7 @@ PreprocResult PreprocExecutor::run(std::span<const Vid> batch_vids,
 void PreprocExecutor::run_into(std::span<const Vid> batch_vids,
                                VidHashTable& table, PreprocResult& out,
                                PreprocScratch& scratch, ThreadPool* pool,
-                               std::size_t chunks) const {
+                               std::size_t chunks, bool gather) const {
   GT_OBS_SCOPE_N(span, "preproc.run", "preproc");
   span.arg("batch_size", static_cast<std::int64_t>(batch_vids.size()));
   out.clear_for_reuse();
@@ -75,7 +75,9 @@ void PreprocExecutor::run_into(std::span<const Vid> batch_vids,
                    sb, table, static_cast<std::uint32_t>(l), formats_,
                    out.layers[l], scratch.layer_coo[l]);
              });
-  {
+  if (!gather) {
+    out.embeddings.resize(0, lookup_.table().dim());
+  } else {
     // K: disjoint row ranges of the gathered table.
     GT_STAGE(k_span, kLookup, "K.lookup", "lookup");
     out.embeddings.resize(sb.vid_order.size(), lookup_.table().dim());

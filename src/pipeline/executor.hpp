@@ -30,7 +30,7 @@ namespace gt::pipeline {
 struct PreprocResult {
   sampling::SampledBatch batch;
   std::vector<sampling::LayerGraphHost> layers;  // per exec-layer
-  Matrix embeddings;                             // layer-0 input table
+  Matrix embeddings;  // layer-0 input table; lent to the device session
   std::uint64_t hash_acquisitions = 0;
   std::uint64_t hash_contended = 0;
 
@@ -68,10 +68,13 @@ class PreprocExecutor {
 
   /// run() into caller-held buffers: identical output, zero steady-state
   /// allocation on the pool-less path. `table` must be clear()ed by the
-  /// caller.
+  /// caller. `gather == false` skips K and leaves `out.embeddings` 0 rows
+  /// by the table's dim, for a caller that gathers the rows itself (the
+  /// embedding-cache ring).
   void run_into(std::span<const Vid> batch_vids, sampling::VidHashTable& table,
                 PreprocResult& out, PreprocScratch& scratch,
-                ThreadPool* pool = nullptr, std::size_t chunks = 1) const;
+                ThreadPool* pool = nullptr, std::size_t chunks = 1,
+                bool gather = true) const;
 
  private:
   const Csr& graph_;

@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -89,6 +90,23 @@ class Matrix {
     data_.assign(n, 0.0f);
     rows_ = rows;
     cols_ = cols;
+  }
+
+  /// Hand the storage out, leaving a 0 x 0 matrix. The vector keeps its
+  /// capacity, so adopt_storage() can take it back with no allocation.
+  std::vector<float> release_storage() noexcept {
+    rows_ = cols_ = 0;
+    return std::exchange(data_, {});
+  }
+
+  /// Take `data` as the rows x cols storage (data.size() == rows * cols).
+  /// Counts no heap allocation: the vector was allocated elsewhere.
+  void adopt_storage(std::size_t rows, std::size_t cols,
+                     std::vector<float>&& data) noexcept {
+    assert(data.size() == rows * cols && "Matrix::adopt_storage shape");
+    rows_ = rows;
+    cols_ = cols;
+    data_ = std::move(data);
   }
 
   bool same_shape(const Matrix& o) const noexcept {

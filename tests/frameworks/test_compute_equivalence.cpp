@@ -234,6 +234,9 @@ TEST(ComputeEquivalence, CachePoliciesNeverChangeNumerics) {
       EXPECT_EQ(cached.reports[b].flops, uncached.reports[b].flops);
       EXPECT_EQ(cached.reports[b].fwp_us, uncached.reports[b].fwp_us);
       EXPECT_EQ(cached.reports[b].bwp_us, uncached.reports[b].bwp_us);
+      // A cached prepare skips K; the size still reads the table's shape.
+      EXPECT_EQ(cached.reports[b].input_table_bytes,
+                uncached.reports[b].input_table_bytes);
     }
     expect_weights_identical(cached.weights, uncached.weights, arm.label);
   }

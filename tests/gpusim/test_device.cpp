@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+
+#include "fault/fault.hpp"
+
 namespace gt::gpusim {
 namespace {
 
@@ -202,6 +206,76 @@ TEST(Device, ResetPeak) {
   EXPECT_GT(dev.memory_stats().peak_bytes, 0u);
   dev.reset_peak();
   EXPECT_EQ(dev.memory_stats().peak_bytes, 0u);
+}
+
+// adopt_f32 takes the caller's vector as the buffer and release_f32 hands
+// the same storage back; the accounting matches alloc_f32 + free.
+TEST(Device, AdoptAndReleaseRoundTripTheStorage) {
+  Device dev(small_config());
+  std::vector<float> v(6);
+  std::iota(v.begin(), v.end(), 1.0f);
+  const float* data = v.data();
+  const BufferId id = dev.adopt_f32(2, 3, std::move(v), "table");
+  EXPECT_EQ(dev.f32(id).data(), data);
+  EXPECT_EQ(dev.rows(id), 2u);
+  EXPECT_EQ(dev.cols(id), 3u);
+  EXPECT_EQ(dev.memory_stats().current_bytes, 6 * sizeof(float));
+  EXPECT_EQ(dev.memory_stats().alloc_count, 1u);
+  const BufferId other = dev.alloc_f32(1, 2, "other");
+
+  const std::vector<float> back = dev.release_f32(id);
+  EXPECT_EQ(back.data(), data);
+  EXPECT_EQ(back, (std::vector<float>{1, 2, 3, 4, 5, 6}));
+  EXPECT_EQ(dev.memory_stats().current_bytes, 2 * sizeof(float));
+  EXPECT_EQ(dev.memory_stats().peak_bytes, 8 * sizeof(float));
+  EXPECT_THROW(dev.f32(id), std::out_of_range);
+  EXPECT_THROW(dev.release_f32(id), std::out_of_range);
+  dev.free(other);
+  EXPECT_EQ(dev.memory_stats().current_bytes, 0u);
+}
+
+TEST(Device, AdoptRejectsAMismatchedShape) {
+  Device dev(small_config());
+  std::vector<float> v(5);
+  EXPECT_THROW(dev.adopt_f32(2, 3, std::move(v), "bad"),
+               std::invalid_argument);
+  EXPECT_EQ(v.size(), 5u);
+  EXPECT_EQ(dev.memory_stats().alloc_count, 0u);
+}
+
+// A failed adopt — capacity OOM, injected OOM, injected transient fault —
+// leaves the caller's vector and the device's accounting untouched.
+TEST(Device, FailedAdoptLeavesTheCallerStorage) {
+  Device dev(small_config());
+  auto expect_untouched = [&](const std::vector<float>& v, const float* data,
+                              std::size_t size) {
+    EXPECT_EQ(v.data(), data);
+    EXPECT_EQ(v.size(), size);
+    EXPECT_EQ(dev.memory_stats().current_bytes, 0u);
+    EXPECT_EQ(dev.memory_stats().peak_bytes, 0u);
+    EXPECT_EQ(dev.memory_stats().alloc_count, 0u);
+  };
+
+  std::vector<float> huge((1 << 18) + 1);  // 1 MiB + 4 B > capacity
+  const float* huge_data = huge.data();
+  EXPECT_THROW(dev.adopt_f32(huge.size(), 1, std::move(huge), "huge"),
+               GpuOomError);
+  expect_untouched(huge, huge_data, (1 << 18) + 1);
+
+  std::vector<float> v(8, 2.0f);
+  const float* data = v.data();
+  auto adopt_under = [&](const char* spec) {
+    fault::FaultPlan plan = fault::FaultPlan::parse(spec);
+    fault::PlanScope scope(&plan, 0);
+    dev.adopt_f32(2, 4, std::move(v), "table");
+  };
+  EXPECT_THROW(adopt_under("gpusim.alloc@batch=0:layer=0:kind=oom"),
+               GpuOomError);
+  expect_untouched(v, data, 8);
+  EXPECT_THROW(adopt_under("gpusim.alloc@batch=0:layer=0"),
+               fault::InjectedFault);
+  expect_untouched(v, data, 8);
+  EXPECT_EQ(v, std::vector<float>(8, 2.0f));
 }
 
 }  // namespace

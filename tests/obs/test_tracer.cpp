@@ -3,12 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "json_checker.hpp"
+#include "obs/json.hpp"
 
 namespace gt::obs {
 namespace {
@@ -131,6 +134,29 @@ TEST(Tracer, ChromeExportIsValidJson) {
   EXPECT_NE(json.find("\"wall.span\""), std::string::npos);
   EXPECT_NE(json.find("\"K.kernel\""), std::string::npos);
   EXPECT_NE(json.find("thread_name"), std::string::npos);  // "M" metadata
+}
+
+// JSON has no NaN or infinity: a non-finite double arg is written as 0
+// (write_json_number), so the exported trace still parses.
+TEST(Tracer, NonFiniteDoubleArgsKeepTheTraceParseable) {
+  TracerEnv env;
+  {
+    Span s("non.finite", "test");
+    s.arg("nan", std::nan(""));
+    s.arg("inf", std::numeric_limits<double>::infinity());
+    s.arg("ninf", -std::numeric_limits<double>::infinity());
+    s.arg("half", 0.5);
+  }
+  std::ostringstream os;
+  Tracer::global().write_chrome_trace(os);
+  JsonValue doc;
+  std::string error;
+  ASSERT_TRUE(json_parse(os.str(), &doc, &error)) << error << "\n" << os.str();
+  const std::string json = os.str();
+  EXPECT_NE(json.find("\"nan\":0"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"inf\":0"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"ninf\":0"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"half\":0.5"), std::string::npos) << json;
 }
 
 TEST(Tracer, ClearDropsEventsAndResetsVirtualClock) {

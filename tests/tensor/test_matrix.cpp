@@ -59,5 +59,23 @@ TEST(Matrix, ShapeMismatchIsInfinitelyFar) {
   EXPECT_FALSE(allclose(a, b));
 }
 
+TEST(Matrix, StorageRoundTripKeepsBufferWithoutAllocating) {
+  Matrix m(3, 4);
+  m.at(2, 3) = 1.5f;
+  const float* data = m.data().data();
+  const std::uint64_t heap = Matrix::heap_allocations();
+  std::vector<float> storage = m.release_storage();
+  EXPECT_EQ(m.rows(), 0u);
+  EXPECT_EQ(m.cols(), 0u);
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(storage.data(), data);
+  m.adopt_storage(3, 4, std::move(storage));
+  EXPECT_EQ(m.rows(), 3u);
+  EXPECT_EQ(m.cols(), 4u);
+  EXPECT_EQ(m.data().data(), data);
+  EXPECT_FLOAT_EQ(m.at(2, 3), 1.5f);
+  EXPECT_EQ(Matrix::heap_allocations(), heap);
+}
+
 }  // namespace
 }  // namespace gt
